@@ -9,6 +9,7 @@ BENCHTIME ?= 1x
 all: test
 
 test:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The experiment harnesses fan replications out across goroutines

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -94,7 +95,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print the telemetry registry (Prometheus text exposition) after the report")
 		jobs      = flag.Int("jobs", 1, "concurrent repetitions (output is identical for any value)")
 		governor  = flag.Bool("governor", false, "attach the adaptive admission governor (policy degradation, misdeclaration quarantine, waitlist aging)")
-		domains   = flag.Int("domains", 0, "shard the LLC into N admission domains with demand-aware placement and cross-domain steal (0 = unsharded)")
+		domains   = flag.Int("domains", 0, "shard the LLC into N admission domains with demand-aware placement and cross-domain steal (0 or 1 = one domain: the paper's single admission monitor)")
 		domFaults = flag.Float64("domain-faults", 0, "crash admission domain 0 at this many virtual seconds (healing at 2x) and evacuate its periods; needs -domains >= 2")
 		obsDir    = flag.String("obs-dir", "", "write a self-contained HTML observability report (blame matrix, critical path, SLO burn rate) into this directory; needs a scheduling policy")
 		sloMS     = flag.Float64("slo-ms", 0, "admission-latency SLO objective in virtual milliseconds for the -obs-dir report (0 = default 50ms)")
@@ -163,7 +164,7 @@ func main() {
 		}
 	}
 	if *timeline {
-		if err := runTimeline(w, pol); err != nil {
+		if err := runTimeline(os.Stdout, w, pol); err != nil {
 			fatal(err)
 		}
 		return
@@ -205,7 +206,7 @@ func main() {
 			}
 		}()
 	}
-	if *domains >= 1 && pol == nil {
+	if *domains >= 2 && pol == nil {
 		fatal(fmt.Errorf("-domains needs a scheduling policy (-policy strict or compromise)"))
 	}
 	if *obsDir != "" {
@@ -220,9 +221,6 @@ func main() {
 		rc.SLO = &slo
 	}
 	if *domFaults > 0 {
-		if *domains < 2 {
-			fatal(fmt.Errorf("-domain-faults needs -domains >= 2 (a crashed shard needs a survivor to evacuate to)"))
-		}
 		at := sim.FromSeconds(*domFaults)
 		rc.Faults = &faults.Plan{DomainFaults: []faults.DomainFault{
 			{Kind: faults.DomainCrash, Domain: 0, At: at, Heal: at},
@@ -414,16 +412,19 @@ func fatal(err error) {
 }
 
 // runTimeline executes one un-jittered run with utilization sampling and
-// the scheduler decision log enabled, and renders both.
-func runTimeline(w proc.Workload, pol core.Policy) error {
+// a decision-log ring subscribed to the scheduler, and renders both to
+// out.
+func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
 	cfg := machine.DefaultConfig()
 	var gate machine.Gate
 	var schd *core.Scheduler
+	var ring *core.EventRing
 	if pol == nil {
 		w = perf.Undeclare(w)
 	} else {
 		schd = core.New(pol, cfg.LLCCapacity)
-		schd.EnableLog(64)
+		ring = core.NewEventRing(64)
+		schd.AddSink(ring)
 		gate = schd
 	}
 	m := machine.New(cfg, gate)
@@ -452,16 +453,16 @@ func runTimeline(w proc.Workload, pol core.Policy) error {
 		labels = append(labels, fmt.Sprintf("%6.2fs", samples[i].At.Seconds()))
 		busy = append(busy, samples[i].BusyCores)
 	}
-	fmt.Print(report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
+	fmt.Fprint(out, report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
 
-	if schd != nil {
-		events, dropped := schd.Events()
-		fmt.Printf("\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), dropped)
+	if ring != nil {
+		events := ring.Events()
+		fmt.Fprintf(out, "\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), ring.Drops())
 		for _, e := range events {
-			fmt.Println("  ", e)
+			fmt.Fprintln(out, "  ", e)
 		}
 	}
-	fmt.Printf("\n%.2f s, %.1f J system, %.3f GFLOPS\n",
+	fmt.Fprintf(out, "\n%.2f s, %.1f J system, %.3f GFLOPS\n",
 		res.Elapsed.Seconds(), res.SystemJ, res.GFLOPS())
 	return nil
 }

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"rdasched/internal/core"
+	"rdasched/internal/proc"
+	"rdasched/internal/workloads"
 )
 
 // TestValidateFlags pins the CLI's numeric-range checks. The -scale
@@ -60,5 +66,48 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestTimeline drives the -timeline mode end to end on a reduced Table 2
+// workload: the busy-cores bar chart renders, and a strict run prints
+// the decision ring it subscribed (full at 64 events, with the earlier
+// ones counted as dropped).
+func TestTimeline(t *testing.T) {
+	w, err := workloads.ByName("water_nsq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = proc.ScaleInstr(w, 0.05)
+	var out bytes.Buffer
+	if err := runTimeline(&out, w, core.StrictPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.Contains(got, "busy cores over time (of ") {
+		t.Fatalf("no busy-cores chart in timeline output:\n%s", got)
+	}
+	var n, dropped int
+	i := strings.Index(got, "\nlast ")
+	if i < 0 {
+		t.Fatalf("no decision block in timeline output:\n%s", got)
+	}
+	if _, err := fmt.Sscanf(got[i+1:], "last %d scheduler decisions (%d earlier dropped):", &n, &dropped); err != nil {
+		t.Fatalf("decision block header: %v\n%s", err, got[i:])
+	}
+	if n != 64 || dropped == 0 {
+		t.Fatalf("decision block shows %d events, %d dropped; want a full 64-event ring with drops", n, dropped)
+	}
+	if lines := strings.Count(got[i:], "\n   "); lines != n {
+		t.Fatalf("decision block lists %d events, header says %d", lines, n)
+	}
+
+	// The uninstrumented baseline has no scheduler, so no decision block.
+	out.Reset()
+	if err := runTimeline(&out, w, nil); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "scheduler decisions") {
+		t.Fatalf("default-policy timeline printed a decision block:\n%s", out.String())
 	}
 }

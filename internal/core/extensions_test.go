@@ -115,7 +115,8 @@ func TestMultiResourceAdmission(t *testing.T) {
 func TestDecisionLog(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
 	s.SetClock(m.Now)
-	s.EnableLog(1024)
+	ring := NewEventRing(1024)
+	s.AddSink(ring)
 	for i := 0; i < 6; i++ {
 		if _, err := m.AddProcess(declaredProc("p", pp.MB(4), 1e7)); err != nil {
 			t.Fatal(err)
@@ -124,7 +125,7 @@ func TestDecisionLog(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events, dropped := s.Events()
+	events, dropped := ring.Events(), ring.Drops()
 	if dropped != 0 {
 		t.Fatalf("dropped %d events with roomy ring", dropped)
 	}
@@ -157,7 +158,8 @@ func TestDecisionLog(t *testing.T) {
 
 func TestDecisionLogRing(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
-	s.EnableLog(4) // tiny ring: must drop and keep the most recent
+	ring := NewEventRing(4) // tiny ring: must drop and keep the most recent
+	s.AddSink(ring)
 	for i := 0; i < 8; i++ {
 		if _, err := m.AddProcess(declaredProc("p", pp.MB(1), 1e6)); err != nil {
 			t.Fatal(err)
@@ -166,7 +168,7 @@ func TestDecisionLogRing(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events, dropped := s.Events()
+	events, dropped := ring.Events(), ring.Drops()
 	if len(events) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(events))
 	}
@@ -181,6 +183,9 @@ func TestDecisionLogRing(t *testing.T) {
 	}
 }
 
+// TestDecisionLogDisabled checks that a ring subscribed after a run
+// sees none of it: decisions go only to the sinks attached when they
+// are made, and a scheduler with no sink keeps no log of its own.
 func TestDecisionLogDisabled(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
 	if _, err := m.AddProcess(declaredProc("p", pp.MB(1), 1e6)); err != nil {
@@ -189,12 +194,9 @@ func TestDecisionLogDisabled(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if events, _ := s.Events(); len(events) != 0 {
-		t.Fatal("events recorded while disabled")
-	}
-	s.EnableLog(8)
-	s.EnableLog(0) // disable again
-	if events, _ := s.Events(); len(events) != 0 {
-		t.Fatal("disable did not clear")
+	ring := NewEventRing(8)
+	s.AddSink(ring)
+	if events := ring.Events(); len(events) != 0 || ring.Drops() != 0 {
+		t.Fatalf("late ring holds %d events, %d dropped; want none", len(events), ring.Drops())
 	}
 }

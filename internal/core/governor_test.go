@@ -87,7 +87,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 		cfg.Strikes = 2
 		cfg.Probation = d + d/2 // between one and two phases after the trip
 		s.EnableGovernor(cfg)
-		s.EnableLog(64)
+		s.AddSink(NewEventRing(64))
 		p, err := m.AddProcess(multiPhaseProc("liar", lies))
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 		return s, m, p
 	}
 	countEvents := func(s *Scheduler, kind EventKind) int {
-		events, _ := s.Events()
+		events := decisions(s)
 		n := 0
 		for _, e := range events {
 			if e.Kind == kind {
@@ -179,7 +179,7 @@ func TestGovernorHysteresisDegradeRecover(t *testing.T) {
 	cfg.RecoverHold = 5 * sim.Millisecond
 	cfg.Window = 3 * sim.Millisecond
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	s.AddSink(NewEventRing(64))
 	// The occupant leaks its 14 MB registration (no lease here), so the
 	// victim can never be admitted under Strict — only the ladder's step
 	// to Compromise (14+14+1 = 29 <= 30) unblocks it. The background
@@ -223,7 +223,7 @@ func TestGovernorHysteresisDegradeRecover(t *testing.T) {
 	if st.MaxWait > 20*sim.Millisecond {
 		t.Fatalf("max wait %v: the ladder never admitted the victim", st.MaxWait)
 	}
-	events, _ := s.Events()
+	events := decisions(s)
 	var degrade, recover bool
 	for _, e := range events {
 		switch e.Kind {
@@ -265,7 +265,7 @@ func TestGovernorLeaseTightening(t *testing.T) {
 	cfg.Window = 3 * sim.Millisecond
 	cfg.LeaseTighten = 8 // 48 ms / 8 = 6 ms tightened horizon
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	s.AddSink(NewEventRing(64))
 	if _, err := m.AddProcess(leakyProc("occupant", pp.MB(14), 1e6)); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestGovernorLeaseTightening(t *testing.T) {
 	}
 	// The point of the mechanism: both reclaims fire at the tightened
 	// horizon, a small fraction of the 48 ms lease.
-	events, _ := s.Events()
+	events := decisions(s)
 	reclaims := 0
 	for _, e := range events {
 		if e.Kind != EventReclaim {
@@ -337,7 +337,7 @@ func TestGovernorReservationPreservesTicket(t *testing.T) {
 	cfg := quietGovernor()
 	cfg.AgeThreshold = 1e-9 // any waiter ages immediately
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	s.AddSink(NewEventRing(64))
 	// hog(8 MB) runs ~52 ms. big(10 MB) is denied at t=0 and can only run
 	// once the hog ends. smallA/smallB are admitted at t=0 (8+3+3 = 14)
 	// and end at ~21 ms and ~32 ms — each end probes the aged big waiter
@@ -380,7 +380,7 @@ func TestGovernorReservationPreservesTicket(t *testing.T) {
 	if st.MaxWait < 45*sim.Millisecond {
 		t.Fatalf("max wait %v, want the full wait since t=0 preserved across re-denials", st.MaxWait)
 	}
-	events, _ := s.Events()
+	events := decisions(s)
 	var bigWaits []sim.Duration // reserve, reserve, wake — must be strictly increasing
 	bigWake, lateWake := -1, -1
 	for i, e := range events {

@@ -155,7 +155,7 @@ func TestFallbackAdmissionOversized(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, m := buildRobust(t, tc.policy, 0, 2*sim.Millisecond)
-			s.EnableLog(64)
+			s.AddSink(NewEventRing(64))
 			// The occupant leaks, so capacity never frees and the safeguard
 			// can never fire: only fallback admission lets the victim run.
 			if _, err := m.AddProcess(leakyProc("occupant", pp.MB(14), 1e6)); err != nil {
@@ -188,7 +188,7 @@ func TestFallbackAdmissionOversized(t *testing.T) {
 			if u := s.Resources().Usage(pp.ResourceLLC); u != 0 {
 				t.Fatalf("load %v after Quiesce, want 0", u)
 			}
-			events, _ := s.Events()
+			events := decisions(s)
 			var seen []string
 			fallback := false
 			for _, e := range events {

@@ -9,8 +9,8 @@ import (
 
 // Decision stream: every admission decision the scheduler makes is
 // published as an Event to a set of subscribed sinks (the kernel
-// prototype's equivalent would be a tracepoint). The bounded ring that
-// backs EnableLog/Events is one such sink; the telemetry layer
+// prototype's equivalent would be a tracepoint). AddSink(NewEventRing(n))
+// captures the most recent decisions; the telemetry layer
 // (internal/telemetry/trace) subscribes span collectors the same way.
 // With no sinks attached and no metrics registry bound, the decision
 // path costs one branch and allocates nothing.
@@ -192,9 +192,8 @@ func (s *Scheduler) AddSink(sink EventSink) {
 	}
 }
 
-// EventRing is a bounded ring sink keeping the most recent events. It
-// backs the scheduler's EnableLog/Events debugging surface and doubles
-// as the reference EventSink implementation.
+// EventRing is a bounded ring sink keeping the most recent events: the
+// debugging decision log and the reference EventSink implementation.
 type EventRing struct {
 	buf   []Event
 	start int
@@ -232,37 +231,6 @@ func (r *EventRing) Events() []Event {
 
 // Drops returns how many events were overwritten after the ring filled.
 func (r *EventRing) Drops() uint64 { return r.drops }
-
-// EnableLog starts recording decisions into a fresh ring of the given
-// capacity; n <= 0 disables the ring. Each call replaces the previous
-// ring entirely — position and drop count start from zero, so events
-// recorded before a re-enable can never leak into the new ring.
-func (s *Scheduler) EnableLog(n int) {
-	if s.ring != nil {
-		for i, sink := range s.sinks {
-			if sink == EventSink(s.ring) {
-				s.sinks = append(s.sinks[:i], s.sinks[i+1:]...)
-				break
-			}
-		}
-		s.ring = nil
-	}
-	if n <= 0 {
-		return
-	}
-	s.ring = NewEventRing(n)
-	s.sinks = append(s.sinks, s.ring)
-}
-
-// Events returns the ring-recorded decisions in order (oldest first)
-// and the number of events dropped once the ring filled. Without
-// EnableLog it returns nothing.
-func (s *Scheduler) Events() ([]Event, uint64) {
-	if s.ring == nil {
-		return nil, 0
-	}
-	return s.ring.Events(), s.ring.Drops()
-}
 
 // emit publishes one decision to every sink and samples the metrics
 // registry. per is the decision's period when one is registered (nil

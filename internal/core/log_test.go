@@ -48,44 +48,15 @@ func TestEventRingWraparound(t *testing.T) {
 	}
 }
 
-// TestEnableLogReEnableResets is the regression test for the stale-ring
-// bug: re-enabling after a wrapped ring must start from a clean ring —
-// no rotated events, no inherited drop count, position zero.
-func TestEnableLogReEnableResets(t *testing.T) {
-	s := New(StrictPolicy{}, pp.MB(15))
-	s.EnableLog(4)
-	for i := 0; i < 9; i++ {
-		s.emit(EventBegin, nil, periodKey{procID: i}, pp.Demand{
-			Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseHigh})
-	}
-	if _, dropped := s.Events(); dropped != 5 {
-		t.Fatalf("precondition: dropped = %d, want 5 (wrapped ring)", dropped)
-	}
-
-	s.EnableLog(4) // re-enable: must reset position and drop count
-	events, dropped := s.Events()
-	if len(events) != 0 || dropped != 0 {
-		t.Fatalf("after re-enable: %d events, %d dropped; want 0, 0", len(events), dropped)
-	}
-	for i := 0; i < 3; i++ {
-		s.emit(EventBegin, nil, periodKey{procID: 100 + i}, pp.Demand{
-			Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseHigh})
-	}
-	events, dropped = s.Events()
-	if len(events) != 3 || dropped != 0 {
-		t.Fatalf("after re-enable + 3 events: %d events, %d dropped; want 3, 0", len(events), dropped)
-	}
-	for i, e := range events {
-		if e.Proc != 100+i {
-			t.Fatalf("events[%d].Proc = %d, want %d (stale ring rotation leaked)", i, e.Proc, 100+i)
+// decisions returns the events held by the first EventRing subscribed
+// to s, oldest first (nil without one).
+func decisions(s *Scheduler) []Event {
+	for _, sink := range s.sinks {
+		if r, ok := sink.(*EventRing); ok {
+			return r.Events()
 		}
 	}
-
-	// Disable resets everything too: a later Events sees nothing.
-	s.EnableLog(0)
-	if events, dropped := s.Events(); len(events) != 0 || dropped != 0 {
-		t.Fatalf("after disable: %d events, %d dropped; want 0, 0", len(events), dropped)
-	}
+	return nil
 }
 
 // recordingSink collects every event it is handed.
@@ -100,7 +71,8 @@ func (r *recordingSink) Record(e Event) { r.events = append(r.events, e) }
 func TestSinkFanOut(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
 	s.SetClock(m.Now)
-	s.EnableLog(1024)
+	ring := NewEventRing(1024)
+	s.AddSink(ring)
 	var rec recordingSink
 	s.AddSink(&rec)
 	for i := 0; i < 4; i++ {
@@ -111,7 +83,7 @@ func TestSinkFanOut(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ringEvents, dropped := s.Events()
+	ringEvents, dropped := ring.Events(), ring.Drops()
 	if dropped != 0 {
 		t.Fatalf("dropped %d with a roomy ring", dropped)
 	}

@@ -113,12 +113,9 @@ type ReplaySink interface {
 	Replay(ReplayRecord)
 }
 
-// SetReplaySink attaches the admission journal stream; nil detaches it.
-// With no sink the decision path pays one branch and allocates nothing.
-func (s *Scheduler) SetReplaySink(k ReplaySink) { s.rsink = k }
-
-// SetReplaySink attaches the journal stream to every shard and the set:
-// shard records are stamped with the set-level post-state so one linear
+// SetReplaySink attaches the journal stream to every shard and the set
+// (nil detaches it; with none the decision path allocates nothing).
+// Shard records carry the set-level post-state at N >= 2, so one linear
 // journal captures the whole gate.
 func (d *DomainSet) SetReplaySink(k ReplaySink) {
 	d.rsink = k

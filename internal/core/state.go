@@ -98,10 +98,9 @@ type GovState struct {
 	Stats         GovernorStats
 }
 
-// DomainState is the exported image of one Scheduler (an unsharded
-// scheduler, or one shard of a DomainSet).
+// DomainState is the exported image of one shard of a DomainSet.
 type DomainState struct {
-	NextID    pp.ID // private counter; zero on DomainSet shards (set-wide counter)
+	NextID    pp.ID // the shard's own counter at Domains=1; zero on N >= 2 shards (set-wide counter)
 	Capacity  []pp.Bytes
 	Usage     []pp.Bytes
 	Peak      []pp.Bytes
@@ -132,9 +131,9 @@ type SetState struct {
 	StealTickAt sim.Time // pending steal re-scan tick; zero = unarmed
 }
 
-// State is the full checkpointable image of an admission gate at one
-// virtual time: one domain for an unsharded Scheduler, N plus the set
-// state for a DomainSet.
+// State is the full checkpointable image of a DomainSet at one virtual
+// time: its N domains plus the set state (nil in checkpoints the
+// unsharded scheduler of older releases wrote).
 type State struct {
 	At      sim.Time
 	Domains []DomainState
@@ -250,12 +249,6 @@ func sortProcPhases(ks []ProcPhase) {
 	})
 }
 
-// ExportState captures the scheduler's state at the current virtual
-// time (single unsharded domain).
-func (s *Scheduler) ExportState() State {
-	return State{At: s.now(), Domains: []DomainState{s.exportDomain()}}
-}
-
 // ExportState captures the full set state: every shard plus the
 // placement map, cross-domain counters, and the pending steal tick.
 func (d *DomainSet) ExportState() State {
@@ -285,19 +278,6 @@ func (d *DomainSet) ExportState() State {
 		st.Set.StealTickAt = d.stealEv.When()
 	}
 	return st
-}
-
-// ImportState restores a single-domain State into this scheduler, which
-// must be freshly built with the same policy, capacity, and bindings
-// (waker, clock, timer, lease, deadline, governor config) as the one
-// that exported it. Waiter thread IDs are re-linked through resolve,
-// and every persisted lease/deadline/tick expiry is re-armed on the
-// bound timer at its original absolute time.
-func (s *Scheduler) ImportState(st State, resolve ThreadResolver) error {
-	if len(st.Domains) != 1 || st.Set != nil {
-		return fmt.Errorf("core: import of %d-domain state (set=%v) into unsharded scheduler", len(st.Domains), st.Set != nil)
-	}
-	return s.importDomain(st.Domains[0], resolve)
 }
 
 func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
@@ -431,13 +411,20 @@ func (s *Scheduler) importGov(gs GovState) error {
 
 // ImportState restores a full set State into this DomainSet, which must
 // be freshly built with the same policy, capacity split, and bindings
-// as the one that exported it.
+// (waker, clock, timer, lease, deadline, governor config) as the one
+// that exported it. Waiter thread IDs are re-linked through resolve,
+// and every persisted lease/deadline/tick expiry is re-armed on the
+// bound timer at its original absolute time. A single-domain set reads
+// a nil Set as the empty set state; N >= 2 requires one.
 func (d *DomainSet) ImportState(st State, resolve ThreadResolver) error {
 	if len(st.Domains) != len(d.shards) {
 		return fmt.Errorf("core: import of %d-domain state into %d-domain set", len(st.Domains), len(d.shards))
 	}
 	if st.Set == nil {
-		return fmt.Errorf("core: set state missing from imported state")
+		if !d.single {
+			return fmt.Errorf("core: set state missing from imported state")
+		}
+		st.Set = &SetState{}
 	}
 	for i, s := range d.shards {
 		if err := s.importDomain(st.Domains[i], resolve); err != nil {

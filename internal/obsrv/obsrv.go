@@ -58,6 +58,13 @@ const DefaultEventBuffer = 1024
 // DefaultStatePeriod is the MaybePublish wall-clock gate.
 const DefaultStatePeriod = 250 * time.Millisecond
 
+// Request limits: a header block past maxHeaderBytes gets 431, and a
+// client stalled mid-header is dropped after readHeaderTimeout (a
+// variable only so tests can shorten it). Neither bounds an /events body.
+const maxHeaderBytes = 16 << 10
+
+var readHeaderTimeout = 10 * time.Second
+
 // Server is one live introspection endpoint. All exported methods are
 // safe for concurrent use; the publish methods are expected to be
 // called from the engine goroutine and the HTTP handlers read only
@@ -117,7 +124,11 @@ func Serve(cfg Config) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	go func() { s.serveErr <- s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -68,8 +68,7 @@ type Metrics struct {
 
 	// Domain counters (zero unless RunConfig.Domains >= 2): periods
 	// assigned by the demand-aware placer and aged waiters migrated
-	// cross-domain. A single-domain set makes no placement decisions,
-	// so Domains=1 reports zeros exactly like the unsharded scheduler.
+	// cross-domain. A single-domain set makes no placement decisions.
 	DomainPlacements float64
 	DomainSteals     float64
 
@@ -147,11 +146,11 @@ type RunConfig struct {
 	// scheduler. Only meaningful with a non-nil Policy.
 	Governor *core.GovernorConfig
 
-	// Domains shards the scheduler into N per-domain admission monitors
-	// with demand-aware placement and cross-domain steal of aged
-	// waiters (core.DomainSet). 0 runs the unsharded scheduler; 1 runs
-	// a single-domain set, bit-identical to 0 (the differential suite
-	// pins this). Only meaningful with a non-nil Policy.
+	// Domains shards the admission gate (core.DomainSet) into N
+	// per-domain admission monitors with demand-aware placement and
+	// cross-domain steal of aged waiters. Values <= 1 all mean one
+	// domain: the paper's single admission monitor over the whole LLC.
+	// Only meaningful with a non-nil Policy.
 	Domains int
 	// StealAge tunes the cross-domain steal age bar (0 selects
 	// core.DefaultStealAge, negative disables stealing). Only
@@ -263,6 +262,9 @@ func Run(w proc.Workload, rc RunConfig) (mean, stddev Metrics, err error) {
 // repetitions may run concurrently — in any order, on any worker — and
 // still produce the exact metrics a serial loop would.
 func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
+	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 && rc.Domains < 2 {
+		return Metrics{}, errors.New("perf: domain faults need Domains >= 2: a failed shard needs a survivor to evacuate to")
+	}
 	if err := w.Validate(); err != nil {
 		return Metrics{}, err
 	}
@@ -275,72 +277,40 @@ func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
 	return runOnce(w, rc, uint64(rep))
 }
 
-// admission is the scheduler surface runOnce drives; *core.Scheduler
-// and *core.DomainSet both satisfy it, so the measurement path is the
-// same whether the run is sharded or not.
-type admission interface {
-	machine.Gate
-	SetWaker(core.Waker)
-	SetClock(core.Clock)
-	SetTimer(core.Timer)
-	SetLease(sim.Duration)
-	SetAdmissionDeadline(sim.Duration)
-	EnableGovernor(core.GovernorConfig)
-	SetMetrics(*telemetry.Registry)
-	AddSink(core.EventSink)
-	SetReplaySink(core.ReplaySink)
-	ExportState() core.State
-	ImportState(core.State, core.ThreadResolver) error
-	Detach()
-	Quiesce() int
-	Stats() core.Stats
-	GovernorStats() core.GovernorStats
-	PublishStats(*telemetry.Registry)
-}
-
 // newGate builds the admission gate for one repetition (nil for the
 // uninstrumented baseline). Extracted from runOnce so the restore path
 // can build a second, identical gate to import the checkpoint into.
-func newGate(rc RunConfig, cfg machine.Config) (admission, *core.DomainSet, error) {
+func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
 	if rc.Policy == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	if rc.Domains >= 1 {
-		// RunConfig keeps the old "negative StealAge disables stealing"
-		// contract; the core config expresses that as DisableSteal.
-		dcfg := core.DomainConfig{Domains: rc.Domains, StealAge: rc.StealAge}
-		if rc.StealAge < 0 {
-			dcfg.StealAge, dcfg.DisableSteal = 0, true
-		}
-		dset, err := core.NewDomainSet(rc.Policy, cfg.LLCCapacity, dcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Track memory bandwidth as a second resource, split across the
-		// domains like the LLC budget.
-		dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
-		if rc.Reserve > 0 {
-			dset.SetReserve(rc.Reserve)
-		}
-		if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-			rcfg := core.DefaultRecoveryConfig()
-			if rc.Recovery != nil {
-				rcfg = *rc.Recovery
-			}
-			if err := dset.EnableRecovery(rcfg); err != nil {
-				return nil, nil, err
-			}
-		}
-		return dset, dset, nil
+	// RunConfig keeps the old "negative StealAge disables stealing"
+	// contract; the core config expresses that as DisableSteal.
+	dcfg := core.DomainConfig{Domains: max(rc.Domains, 1), StealAge: rc.StealAge}
+	if rc.StealAge < 0 {
+		dcfg.StealAge, dcfg.DisableSteal = 0, true
 	}
-	s := core.New(rc.Policy, cfg.LLCCapacity)
+	dset, err := core.NewDomainSet(rc.Policy, cfg.LLCCapacity, dcfg)
+	if err != nil {
+		return nil, err
+	}
 	// Track memory bandwidth as a second resource: periods declaring
-	// BWDemand are gated against the machine's DRAM roofline.
-	s.Resources().SetCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
+	// BWDemand are gated against the machine's DRAM roofline, split
+	// across the domains like the LLC budget.
+	dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
 	if rc.Reserve > 0 {
-		s.SetReserve(rc.Reserve)
+		dset.SetReserve(rc.Reserve)
 	}
-	return s, nil, nil
+	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
+		rcfg := core.DefaultRecoveryConfig()
+		if rc.Recovery != nil {
+			rcfg = *rc.Recovery
+		}
+		if err := dset.EnableRecovery(rcfg); err != nil {
+			return nil, err
+		}
+	}
+	return dset, nil
 }
 
 // runSinks holds the observers shared by a repetition's gates. The
@@ -365,7 +335,7 @@ type introspection struct {
 	srv   *obsrv.Server
 	pacer *obsrv.Pacer
 	eng   *sim.Engine
-	gate  admission
+	gate  *core.DomainSet
 	sk    *runSinks
 }
 
@@ -391,7 +361,7 @@ func (in *introspection) step(now sim.Time) {
 
 // bind wires one gate to the machine and attaches the (lazily created)
 // observers.
-func (sk *runSinks) bind(schd admission, m *machine.Machine, rc RunConfig) error {
+func (sk *runSinks) bind(schd *core.DomainSet, m *machine.Machine, rc RunConfig) error {
 	schd.SetWaker(m)
 	schd.SetClock(m.Now)
 	schd.SetTimer(m.Engine())
@@ -524,7 +494,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	if rc.Policy == nil {
 		w = Undeclare(w)
 	}
-	schd, dset, err := newGate(rc, cfg)
+	schd, err := newGate(rc, cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -566,8 +536,8 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		eng := m.Engine()
 		eng.After(killAt, eng.Halt)
 	}
-	if dset != nil && rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-		if err := armDomainFaults(dset, m.Engine(), rc.Faults.DomainFaults); err != nil {
+	if schd != nil && rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
+		if err := armDomainFaults(schd, m.Engine(), rc.Faults.DomainFaults); err != nil {
 			return Metrics{}, err
 		}
 	}
@@ -597,30 +567,25 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		if !errors.Is(err, machine.ErrHalted) {
 			return Metrics{}, err
 		}
-		if rc.Obsrv != nil && rc.Obsrv.StopRequested() {
-			// An external stop request (SIGTERM), not the injected kill:
-			// leave any checkpoint consistent and report the clean-stop
-			// sentinel. This is checked before the restore branch — a
-			// stop during prefix re-execution must not be mistaken for
-			// reaching the checkpointed kill time.
+		// An external stop request (SIGTERM) is checked before the
+		// restore branch: a stop during prefix re-execution must not be
+		// mistaken for reaching the checkpointed kill time.
+		stopped := rc.Obsrv != nil && rc.Obsrv.StopRequested()
+		if stopped || rc.Restore == nil {
+			// The run ends here, by request or by the injected process
+			// death; either way leave any checkpoint consistent, since it
+			// is everything the run leaves behind.
 			if cp != nil {
 				if cerr := cp.Close(); cerr != nil {
 					return Metrics{}, cerr
 				}
 			}
-			return Metrics{}, fmt.Errorf("perf: run stopped at %v: %w", m.Now(), ErrStopped)
-		}
-		if rc.Restore == nil {
-			// The injected process death: everything the run leaves
-			// behind is the checkpoint directory.
-			if cp != nil {
-				if cerr := cp.Close(); cerr != nil {
-					return Metrics{}, cerr
-				}
+			if stopped {
+				return Metrics{}, fmt.Errorf("perf: run stopped at %v: %w", m.Now(), ErrStopped)
 			}
 			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
 		}
-		schd, dset, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
+		schd, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -628,13 +593,15 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	reg, col, bcol, smon := sk.reg, sk.col, sk.bcol, sk.smon
 	var rob core.Stats
 	var gov core.GovernorStats
+	var dst core.DomainStats
+	var rst core.RecoveryStats
 	if schd != nil {
 		// End-of-run reclamation: periods still registered lost their
 		// owners (leaked ends, crashed threads); return their load so the
 		// monitor reads zero and the counters include the residue.
 		schd.Quiesce()
-		rob = schd.Stats()
-		gov = schd.GovernorStats()
+		rob, gov = schd.Stats(), schd.GovernorStats()
+		dst, rst = schd.DomainStats(), schd.RecoveryStats()
 		if reg != nil {
 			schd.PublishStats(reg)
 		}
@@ -660,12 +627,6 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	if smon != nil {
 		slo = smon.Result()
 		slo.Publish(reg)
-	}
-	var dst core.DomainStats
-	var rst core.RecoveryStats
-	if dset != nil {
-		dst = dset.DomainStats()
-		rst = dset.RecoveryStats()
 	}
 	if cp != nil {
 		// Surface any sticky journal I/O error: a run whose checkpoint
@@ -754,35 +715,41 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 // snapshot or journal misrepresents changes the resumed schedule, and
 // the E9 golden (byte-identical final tables vs. the unkilled run)
 // catches it.
-func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old admission, sk *runSinks, tr *stateTracker) (admission, *core.DomainSet, *machine.Result, error) {
+func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
 	if tr.err != nil {
-		return nil, nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
+		return nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
 	}
 	live := old.ExportState()
 	want := tr.st
 	want.At = live.At
 	lb, err := live.Canonical()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	wb, err := want.Canonical()
+	// An old unsharded checkpoint has no set state: compare it as the
+	// empty one a single-domain set exports (ImportState rejects N >= 2).
+	cmp := want
+	if cmp.Set == nil {
+		cmp.Set = &core.SetState{}
+	}
+	wb, err := cmp.Canonical()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !bytes.Equal(lb, wb) {
-		return nil, nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
+		return nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
 			m.Now(), len(wb), len(lb))
 	}
 	old.Detach()
-	schd, dset, err := newGate(rc, cfg)
+	schd, err := newGate(rc, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := sk.bind(schd, m, rc); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := schd.ImportState(want, m.ThreadByID); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if sk.in != nil {
 		// The imported gate owns the rest of the run; /state must track
@@ -793,9 +760,9 @@ func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old ad
 	m.Engine().Resume()
 	res, err := m.Resume()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return schd, dset, res, nil
+	return schd, res, nil
 }
 
 // armDomainFaults schedules a plan's domain-level faults on the run's

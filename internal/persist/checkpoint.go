@@ -36,7 +36,7 @@ func (c Config) Validate() error {
 }
 
 // StateExporter is the gate-side surface the checkpointer snapshots;
-// core.Scheduler and core.DomainSet both satisfy it.
+// core.DomainSet satisfies it.
 type StateExporter interface {
 	ExportState() core.State
 }

@@ -228,6 +228,52 @@ func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 	assertSameMetrics(t, base, revived)
 }
 
+// TestRestoreUnshardedCheckpoint revives a checkpoint in the shape the
+// unsharded scheduler of older releases wrote: one domain and no set
+// state in any snapshot. A one-domain gate (Domains 0 and 1 alike) must
+// import it and finish byte-identical to the unkilled run.
+func TestRestoreUnshardedCheckpoint(t *testing.T) {
+	for _, domains := range []int{0, 1} {
+		domains := domains
+		t.Run(fmt.Sprintf("domains-%d", domains), func(t *testing.T) {
+			rc := reviveConfig(core.StrictPolicy{}, domains)
+			base, revived, res := killRestore(t, rc, 0.4, func(dir string) {
+				paths, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+				if err != nil || len(paths) == 0 {
+					t.Fatalf("no snapshots to rewrite (%v)", err)
+				}
+				for _, p := range paths {
+					b, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var snap struct {
+						Seq   uint64
+						State core.State
+					}
+					if err := json.Unmarshal(b, &snap); err != nil {
+						t.Fatal(err)
+					}
+					if snap.State.Set == nil {
+						t.Fatalf("%s already has no set state", p)
+					}
+					snap.State.Set = nil
+					if b, err = json.Marshal(snap); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(p, b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if res.State.Set != nil {
+				t.Fatal("restored state has a set state; the nil-Set import path went unexercised")
+			}
+			assertSameMetrics(t, base, revived)
+		})
+	}
+}
+
 // TestRestoreErrors pins the loader's failure modes.
 func TestRestoreErrors(t *testing.T) {
 	t.Run("missing-dir", func(t *testing.T) {
