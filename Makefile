@@ -18,9 +18,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the committed corpus (internal/core/testdata/fuzz).
+# Short fuzz smoke over the committed corpora (internal/*/testdata/fuzz).
 # `go test` only fuzzes one target per invocation, so run them in turn.
 fuzz:
+	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzMachineInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSchedulerInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDeterminism -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzChaosInvariants -fuzztime=$(FUZZTIME)

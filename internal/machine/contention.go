@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"math"
-
 	"rdasched/internal/pp"
 	"rdasched/internal/proc"
 )
@@ -16,30 +14,25 @@ type contentionState struct {
 	// Residency is min(1, capacity/pressure): the fraction of each
 	// working set that stays resident under symmetric LRU sharing.
 	Residency float64
-	// Groups is the number of distinct (process, phase) groups.
-	Groups int
 }
 
 // contention computes the current LLC pressure from all Ready threads.
+// The first Ready thread of a (process, phase) group stamps the phase
+// with this pass's epoch; its siblings find the stamp and are skipped.
 func (m *Machine) contention() contentionState {
-	type key struct{ proc, phase int }
-	seen := make(map[key]struct{}, len(m.procs))
+	m.epoch++
 	var pressure pp.Bytes
-	for _, t := range m.threads {
-		if t.state != Ready {
+	for _, t := range m.live {
+		if t.state != Ready || t.proc.stamp[t.phase] == m.epoch {
 			continue
 		}
-		k := key{t.proc.id, t.phase}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
+		t.proc.stamp[t.phase] = m.epoch
 		// Partitioned phases press on the shared pool only up to their
 		// partition (§6 extension: a fenced streaming app cannot evict
 		// its neighbours beyond its allotment).
 		pressure += t.CurrentPhase().OccupancyBytes()
 	}
-	st := contentionState{PressureBytes: pressure, Groups: len(seen), Residency: 1}
+	st := contentionState{PressureBytes: pressure, Residency: 1}
 	if pressure > m.cfg.LLCCapacity {
 		st.Residency = float64(m.cfg.LLCCapacity) / float64(pressure)
 	}
@@ -55,7 +48,8 @@ type perfParams struct {
 	llcHitRate   float64
 }
 
-// phasePerf evaluates the CPI model of DESIGN.md §5:
+// phasePerf evaluates the CPI model of DESIGN.md §5 for a shared-pool
+// hit scaling resid = residency^γ:
 //
 //	CPI = base
 //	    + api·p_priv·c_priv
@@ -65,12 +59,11 @@ type perfParams struct {
 // never hit the LLC; resident-set accesses hit in proportion to how much
 // of the working set survives contention, sharpened by the LRU
 // over-capacity cliff (γ = Config.ResidencyExponent).
-func (m *Machine) phasePerf(ph *proc.Phase, ctn contentionState) perfParams {
+func (m *Machine) phasePerf(ph *proc.Phase, resid float64) perfParams {
 	api := ph.AccessesPerInstr
 	llcPerInstr := api * (1 - ph.PrivateHitFrac)
 	// A partitioned phase keeps at most partition/WSS of its set
 	// resident, however empty the shared pool is.
-	resid := math.Pow(ctn.Residency, m.cfg.ResidencyExponent)
 	if ph.CachePartition > 0 && ph.WSS > 0 {
 		if own := float64(ph.OccupancyBytes()) / float64(ph.WSS); own < resid {
 			resid = own

@@ -63,6 +63,9 @@ type Thread struct {
 	// before remaining and yields no flops or memory traffic — the
 	// traffic was already counted when the penalty was charged.
 	state State
+	// weight is the owning spec's EffectiveWeight, cached for
+	// water-filling.
+	weight float64
 	// crashing marks a thread whose current phase was truncated by
 	// CrashFrac: when the truncated run completes, the thread dies instead
 	// of retiring the phase.
@@ -105,9 +108,12 @@ type Process struct {
 	spec     proc.Spec
 	threads  []*Thread
 	barriers map[int]int // phase index → arrivals
-	done     int
-	crashed  int // threads that died mid-phase (fault injection)
-	finish   sim.Time
+	// stamp holds, per phase, the machine epoch of the last contention
+	// pass that counted this (process, phase) group.
+	stamp   []uint64
+	done    int
+	crashed int // threads that died mid-phase (fault injection)
+	finish  sim.Time
 }
 
 // ID returns the machine-wide process id.
@@ -208,6 +214,18 @@ type Machine struct {
 
 	procs   []*Process
 	threads []*Thread
+	// live holds the non-Done threads in increasing id order; reschedule
+	// compacts it in place. Every per-event loop ranges over it, and
+	// because it keeps id order every float sum runs in the same order
+	// as a scan of all threads would.
+	live []*Thread
+	// unsat is computeShares' reused water-filling scratch.
+	unsat []*Thread
+	// epoch numbers contention passes for the per-phase group stamps.
+	epoch uint64
+	// onComplete is m.onCompletion, bound once so that rescheduling
+	// does not allocate a method value per event.
+	onComplete func()
 
 	lastUpdate  sim.Time
 	pending     *sim.Event
@@ -216,7 +234,6 @@ type Machine struct {
 	lastSample  sim.Time
 	sampleEvery sim.Duration
 	inEvent     bool
-	dirty       bool
 	ran         bool
 	doneProcs   int
 	counters    Counters
@@ -231,12 +248,14 @@ func New(cfg Config, gate Gate) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Machine{
+	m := &Machine{
 		cfg:   cfg,
 		eng:   sim.NewEngine(cfg.Seed),
 		meter: energy.NewMeter(cfg.Energy),
 		gate:  gate,
 	}
+	m.onComplete = m.onCompletion
+	return m
 }
 
 // Config returns the machine configuration.
@@ -266,11 +285,19 @@ func (m *Machine) AddProcess(spec proc.Spec) (*Process, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{id: len(m.procs), spec: spec, barriers: make(map[int]int)}
-	for i := 0; i < spec.Threads; i++ {
-		t := &Thread{id: len(m.threads), proc: p, idxInProc: i}
-		p.threads = append(p.threads, t)
+	p := &Process{
+		id: len(m.procs), spec: spec, barriers: make(map[int]int),
+		stamp:   make([]uint64, len(spec.Program)),
+		threads: make([]*Thread, spec.Threads),
+	}
+	slab := make([]Thread, spec.Threads)
+	w := spec.EffectiveWeight()
+	for i := range slab {
+		t := &slab[i]
+		*t = Thread{id: len(m.threads), proc: p, idxInProc: i, weight: w}
+		p.threads[i] = t
 		m.threads = append(m.threads, t)
+		m.live = append(m.live, t)
 	}
 	m.procs = append(m.procs, p)
 	return p, nil
@@ -405,18 +432,27 @@ func (m *Machine) Unblock(t *Thread) {
 		panic(fmt.Sprintf("machine: Unblock of %s thread %d", t.state, t.id))
 	}
 	m.counters.Wakeups++
-	wake := func() {
-		m.chargeWakeRefill(t)
-		t.state = Ready
-	}
 	if m.cfg.WakeLatency <= 0 {
-		m.mutate(wake)
+		m.wake(t)
 		return
 	}
 	t.state = Waking
-	m.eng.After(m.cfg.WakeLatency, func() {
-		m.mutate(wake)
-	})
+	m.eng.After(m.cfg.WakeLatency, func() { m.wake(t) })
+}
+
+// wake makes t Ready after charging its cache refill. Inside an event
+// (a gate releasing t from ExitPhase) the event's own advance and
+// reschedule frame the change; outside one (timer callbacks) wake
+// advances and reschedules itself.
+func (m *Machine) wake(t *Thread) {
+	if !m.inEvent {
+		m.advance()
+	}
+	m.chargeWakeRefill(t)
+	t.state = Ready
+	if !m.inEvent {
+		m.reschedule()
+	}
 }
 
 // chargeWakeRefill bills the cold-cache restart of a resumed thread: the
@@ -439,20 +475,6 @@ func (m *Machine) chargeWakeRefill(t *Thread) {
 	m.accumulate(lines, lines)
 }
 
-// mutate applies a state change with correct advance/reschedule framing:
-// inside an event the reschedule is deferred to the event's end; outside
-// (timer callbacks) it happens immediately.
-func (m *Machine) mutate(fn func()) {
-	if m.inEvent {
-		fn()
-		m.dirty = true
-		return
-	}
-	m.advance()
-	fn()
-	m.reschedule()
-}
-
 // advance integrates thread progress, counters, and energy from the last
 // update point to now, using the rates cached by the last reschedule.
 func (m *Machine) advance() {
@@ -464,7 +486,7 @@ func (m *Machine) advance() {
 	}
 	secs := dt.Seconds()
 	var llc, dram float64
-	for _, t := range m.threads {
+	for _, t := range m.live {
 		if t.state != Ready {
 			continue
 		}
@@ -521,50 +543,46 @@ const completionEpsilon = 0.05
 // the total busy-core count (Σ shares). With uniform weights this
 // reduces to share = min(1, cores/ready).
 func (m *Machine) computeShares() float64 {
-	var unsat []*Thread
-	for _, t := range m.threads {
+	unsat := m.unsat[:0]
+	var sumW float64
+	for _, t := range m.live {
 		if t.state == Ready {
 			t.share = 0
 			unsat = append(unsat, t)
+			sumW += t.weight
 		}
 	}
+	m.unsat = unsat
 	capacity := float64(m.cfg.Cores)
-	total := 0.0
+	used := 0 // threads capped at one full core so far
 	for len(unsat) > 0 && capacity > 1e-12 {
-		var sumW float64
-		for _, t := range unsat {
-			sumW += t.proc.spec.EffectiveWeight()
-		}
+		// Cap every thread whose fair share reaches a full core; the
+		// survivors' weight sum accumulates in the same order a fresh
+		// pass over them would use.
 		next := unsat[:0]
-		capped := false
+		var nextW float64
 		for _, t := range unsat {
-			w := t.proc.spec.EffectiveWeight()
-			if capacity*w/sumW >= 1 {
+			if capacity*t.weight/sumW >= 1 {
 				t.share = 1
-				capped = true
+				used++
 			} else {
 				next = append(next, t)
+				nextW += t.weight
 			}
 		}
-		if capped {
-			// Recompute remaining capacity and iterate.
-			used := 0.0
-			for _, t := range m.threads {
-				if t.state == Ready && t.share == 1 {
-					used++
-				}
-			}
-			capacity = float64(m.cfg.Cores) - used
-			unsat = next
+		if len(next) < len(unsat) {
+			// Redistribute the remaining capacity and iterate.
+			capacity = float64(m.cfg.Cores) - float64(used)
+			unsat, sumW = next, nextW
 			continue
 		}
 		for _, t := range unsat {
-			w := t.proc.spec.EffectiveWeight()
-			t.share = capacity * w / sumW
+			t.share = capacity * t.weight / sumW
 		}
-		unsat = nil
+		break
 	}
-	for _, t := range m.threads {
+	total := 0.0
+	for _, t := range m.live {
 		if t.state == Ready {
 			total += t.share
 		}
@@ -583,12 +601,20 @@ func (m *Machine) reschedule() {
 		m.eng.Cancel(m.pending)
 		m.pending = nil
 	}
+	// Drop the threads that finished since the last reschedule. Compacting
+	// in place keeps id order.
 	ready := 0
-	for _, t := range m.threads {
-		if t.state == Ready {
+	live := m.live[:0]
+	for _, t := range m.live {
+		switch t.state {
+		case Done:
+			continue
+		case Ready:
 			ready++
 		}
+		live = append(live, t)
 	}
+	m.live = live
 	if ready == 0 {
 		return // threads are blocked/waking/done; timers or the gate move things along
 	}
@@ -603,35 +629,34 @@ func (m *Machine) reschedule() {
 		m.lastSample = m.eng.Now()
 	}
 
-	// Unconstrained rates, then a shared-bandwidth roofline.
+	// Unconstrained rates, then a shared-bandwidth roofline. The
+	// shared-pool hit scaling residency^γ is the same for every thread.
+	resid := math.Pow(ctn.Residency, m.cfg.ResidencyExponent)
 	var traffic float64 // bytes/sec of DRAM transfers
-	for _, t := range m.threads {
+	for _, t := range m.live {
 		if t.state != Ready {
 			continue
 		}
 		ph := t.CurrentPhase()
-		perf := m.phasePerf(ph, ctn)
+		perf := m.phasePerf(ph, resid)
 		t.llcPerInstr = perf.llcPerInstr
 		t.dramPerInstr = perf.dramPerInstr
 		t.flopsPerInstr = ph.FlopsPerInstr
 		t.rate = t.share * m.cfg.FreqHz / perf.cpi
 		traffic += t.rate * t.dramPerInstr * float64(m.cfg.LineSize)
 	}
+	scale := 1.0
 	if traffic > m.cfg.MemBandwidth {
-		scale := m.cfg.MemBandwidth / traffic
-		for _, t := range m.threads {
-			if t.state == Ready {
-				t.rate *= scale
-			}
-		}
+		scale = m.cfg.MemBandwidth / traffic
 	}
 
-	// Next completion.
+	// Apply the roofline and find the next completion.
 	next := math.Inf(1)
-	for _, t := range m.threads {
+	for _, t := range m.live {
 		if t.state != Ready {
 			continue
 		}
+		t.rate *= scale
 		dt := (t.remaining + t.penalty) / t.rate
 		if dt < next {
 			next = dt
@@ -644,7 +669,7 @@ func (m *Machine) reschedule() {
 	if d < 1 {
 		d = 1
 	}
-	m.pending = m.eng.After(d, m.onCompletion)
+	m.pending = m.eng.After(d, m.onComplete)
 }
 
 // onCompletion advances time and retires every phase that has finished.
@@ -652,8 +677,7 @@ func (m *Machine) onCompletion() {
 	m.pending = nil
 	m.advance()
 	m.inEvent = true
-	m.dirty = false
-	for _, t := range m.threads {
+	for _, t := range m.live {
 		if t.state == Ready && t.remaining+t.penalty <= completionEpsilon {
 			m.finishPhase(t)
 		}
