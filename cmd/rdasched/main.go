@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -21,10 +20,7 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
-	"time"
 
 	"rdasched/internal/core"
 	"rdasched/internal/experiments"
@@ -182,29 +178,12 @@ func main() {
 	}
 	rc.Pace, _ = obsrv.ParsePace(*pace) // validated above
 	if *listen != "" {
-		srv, err := obsrv.Serve(obsrv.Config{Addr: *listen})
+		srv, shutdown, err := obsrv.ServeCLI(*listen, "rdasched", os.Stderr)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "rdasched: introspection server on %s\n", srv.URL())
+		defer shutdown()
 		rc.Obsrv = srv
-		// SIGINT/SIGTERM stop the run at the next event boundary instead
-		// of killing the process: perf surfaces ErrStopped and the CLI
-		// exits cleanly (the CI smoke job relies on this).
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			sig := <-sigc
-			fmt.Fprintf(os.Stderr, "rdasched: received %v, stopping run\n", sig)
-			srv.RequestStop()
-		}()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := srv.Close(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "rdasched: introspection shutdown:", err)
-			}
-		}()
 	}
 	if *domains >= 2 && pol == nil {
 		fatal(fmt.Errorf("-domains needs a scheduling policy (-policy strict or compromise)"))

@@ -367,31 +367,15 @@ func RunPolicyComparison(ws []proc.Workload, opt Options) ([]PolicyRow, error) {
 	return rows, nil
 }
 
-// metricOf extracts a named figure metric from a measurement.
-func metricOf(m perf.Metrics, metric string) (float64, error) {
-	switch metric {
-	case "system-energy":
-		return m.SystemJ, nil
-	case "dram-energy":
-		return m.DRAMJ, nil
-	case "gflops":
-		return m.GFLOPS, nil
-	case "gflops-per-watt":
-		return m.GFLOPSPerWatt, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown metric %q", metric)
-	}
-}
-
 // figureSpec ties each policy-comparison figure to its metric.
 var figureSpec = map[int]struct {
-	Metric string
 	Title  string
+	Metric func(perf.Metrics) float64
 }{
-	7:  {"system-energy", "Figure 7: system energy (J) — CPU + cache + DRAM"},
-	8:  {"dram-energy", "Figure 8: DRAM-only energy (J)"},
-	9:  {"gflops", "Figure 9: performance (GFLOPS)"},
-	10: {"gflops-per-watt", "Figure 10: system energy efficiency (GFLOPS/Watt)"},
+	7:  {"Figure 7: system energy (J) — CPU + cache + DRAM", func(m perf.Metrics) float64 { return m.SystemJ }},
+	8:  {"Figure 8: DRAM-only energy (J)", func(m perf.Metrics) float64 { return m.DRAMJ }},
+	9:  {"Figure 9: performance (GFLOPS)", func(m perf.Metrics) float64 { return m.GFLOPS }},
+	10: {"Figure 10: system energy efficiency (GFLOPS/Watt)", func(m perf.Metrics) float64 { return m.GFLOPSPerWatt }},
 }
 
 // FigureTable renders one of Figures 7–10 from comparison rows.
@@ -409,11 +393,7 @@ func FigureTable(fig int, rows []PolicyRow) (*report.Table, error) {
 			byWorkload[r.Workload] = map[string]float64{}
 			order = append(order, r.Workload)
 		}
-		v, err := metricOf(r.Mean, spec.Metric)
-		if err != nil {
-			return nil, err
-		}
-		byWorkload[r.Workload][r.Policy] = v
+		byWorkload[r.Workload][r.Policy] = spec.Metric(r.Mean)
 	}
 	for _, w := range order {
 		m := byWorkload[w]
