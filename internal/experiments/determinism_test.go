@@ -113,6 +113,9 @@ func TestDeterminismGranularity(t *testing.T) {
 	})
 }
 
+// TestDeterminismWSSPrediction also pins the Jobs=1 Figure 12 table to
+// testdata/fig12.golden, so the profiler's measured working sets are
+// checked without a further run.
 func TestDeterminismWSSPrediction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -122,7 +125,11 @@ func TestDeterminismWSSPrediction(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{res.Table().String()}, nil
+		tbl := res.Table()
+		if opt.Jobs == 1 {
+			checkGolden(t, "fig12", tbl)
+		}
+		return []string{tbl.String()}, nil
 	})
 }
 
