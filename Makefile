@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/profiler -run='^$$' -fuzz=FuzzWindowsMatchesMap -fuzztime=$(FUZZTIME)
 
 # Full benchmark sweep, converted by scripts/benchjson into the
 # machine-readable BENCH_10.json artifact (and schema-checked). Raise

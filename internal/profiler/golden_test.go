@@ -80,3 +80,24 @@ func TestWindowsGolden(t *testing.T) {
 			path, got, want)
 	}
 }
+
+// BenchmarkWindowsFig12 windows one Figure 12 profiling job's trace
+// (water_nsq at 8000 molecules, seed 1) and reports memory references
+// windowed per second. The time includes generating the trace, which
+// Windows consumes as a stream.
+func BenchmarkWindowsFig12(b *testing.B) {
+	cfg := workloads.Fig12ProfilerConfig()
+	b.ReportAllocs()
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		s, _ := workloads.WaterNsqTrace(workloads.WaterNsqInputs[0], 1)
+		wins, err := profiler.Windows(s, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range wins {
+			refs += w.Refs
+		}
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}

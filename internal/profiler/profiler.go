@@ -90,45 +90,38 @@ type WindowStats struct {
 
 // Windows consumes a trace and returns per-window statistics. The entry
 // table is reset at each window boundary, exactly as described in §2.4.
+// One table serves every window: it grows inside a window when needed
+// and is cleared, not reallocated, at each boundary.
 func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var out []WindowStats
-	touches := make(map[uint64]uint32)
-	jumps := make(map[int]uint64)
+	touches := newEntryTable()
+	var jumps []siteCount
 	var cur WindowStats
 	cur.TopSite = -1
 	windowEnd := cfg.WindowInstr
 
 	flush := func(end uint64) {
 		cur.EndInstr = end
-		var fpEntries, wssEntries int
-		var total uint64
-		for _, n := range touches {
-			fpEntries++
-			total += uint64(n)
-			if int(n) >= cfg.MinTouches {
-				wssEntries++
-			}
-		}
+		fpEntries, wssEntries, total := touches.drain(cfg.MinTouches)
 		cur.Footprint = pp.Bytes(fpEntries) * cfg.EntryBytes
 		cur.WSS = pp.Bytes(wssEntries) * cfg.EntryBytes
 		if fpEntries > 0 {
 			cur.ReuseRatio = float64(total) / float64(fpEntries)
 		}
 		top, topCount := -1, uint64(0)
-		for site, n := range jumps {
-			if n > topCount || (n == topCount && site < top) {
-				top, topCount = site, n
+		for _, j := range jumps {
+			if j.n > topCount || (j.n == topCount && j.site < top) {
+				top, topCount = j.site, j.n
 			}
 		}
 		cur.TopSite = top
 		out = append(out, cur)
 
 		cur = WindowStats{Index: cur.Index + 1, StartInstr: end, TopSite: -1}
-		clear(touches)
-		clear(jumps)
+		jumps = jumps[:0]
 	}
 
 	var lastInstr uint64
@@ -143,16 +136,129 @@ func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 			windowEnd += cfg.WindowInstr
 		}
 		if r.IsJump {
-			jumps[r.JumpSite]++
+			jumps = countSite(jumps, r.JumpSite)
 			continue
 		}
 		cur.Refs++
-		touches[r.Addr/uint64(cfg.EntryBytes)]++
+		touches.touch(r.Addr / uint64(cfg.EntryBytes))
 	}
-	if cur.Refs > 0 || len(jumps) > 0 || len(touches) > 0 {
+	if cur.Refs > 0 || len(jumps) > 0 {
 		flush(lastInstr + 1)
 	}
 	return out, nil
+}
+
+// siteCount is one JMP site's retirement count within a window.
+type siteCount struct {
+	site int
+	n    uint64
+}
+
+// countSite adds one retirement of site. A window sees one or two
+// sites, so a linear scan beats any map.
+func countSite(jumps []siteCount, site int) []siteCount {
+	for i := range jumps {
+		if jumps[i].site == site {
+			jumps[i].n++
+			return jumps
+		}
+	}
+	return append(jumps, siteCount{site: site, n: 1})
+}
+
+// entryTable is the window's array of unique addresses: an
+// open-addressed touch counter with linear probing and Fibonacci
+// hashing. Keys and counts sit in parallel slices and a zero count marks
+// an empty slot, so key 0 needs no special case. (A count would wrap to
+// zero only after 2^32 touches of one entry in one window.)
+type entryTable struct {
+	keys   []uint64
+	counts []uint32
+	shift  uint // 64 - log2(len(keys))
+	used   int
+}
+
+const (
+	entryTableLog = 12 // initial size: 4096 slots
+	// Growing ×4 rather than ×2 leaves fewer dead tables behind on the
+	// way to the largest window's size, which keeps peak RSS level.
+	entryTableGrowLog = 2
+	fibonacci         = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
+)
+
+func newEntryTable() *entryTable {
+	t := &entryTable{}
+	t.alloc(entryTableLog)
+	return t
+}
+
+// alloc replaces the table with an empty one of 2^bits slots.
+func (t *entryTable) alloc(bits uint) {
+	t.keys = make([]uint64, 1<<bits)
+	t.counts = make([]uint32, 1<<bits)
+	t.shift = 64 - bits
+	t.used = 0
+}
+
+// touch counts one access to key.
+func (t *entryTable) touch(key uint64) {
+	mask := uint64(len(t.keys) - 1)
+	for i := (key * fibonacci) >> t.shift; ; i = (i + 1) & mask {
+		switch {
+		case t.counts[i] == 0:
+			t.keys[i], t.counts[i] = key, 1
+			t.used++
+			if 4*t.used > 3*len(t.keys) {
+				t.grow()
+			}
+			return
+		case t.keys[i] == key:
+			t.counts[i]++
+			return
+		}
+	}
+}
+
+// grow moves every entry into a table 2^entryTableGrowLog times larger;
+// touch calls it past ¾ load.
+func (t *entryTable) grow() {
+	keys, counts := t.keys, t.counts
+	t.alloc(64 - t.shift + entryTableGrowLog)
+	mask := uint64(len(t.keys) - 1)
+	for j, n := range counts {
+		if n == 0 {
+			continue
+		}
+		i := (keys[j] * fibonacci) >> t.shift
+		for t.counts[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.counts[i] = keys[j], n
+		t.used++
+	}
+}
+
+// drain returns the window's sums — entries, entries touched at least
+// minTouches times, and touches in all — and empties the table for the
+// next window, keeping its size. The sums are integers, so the slot
+// order cannot change them.
+func (t *entryTable) drain(minTouches int) (entries, wss int, total uint64) {
+	if t.used == 0 {
+		return 0, 0, 0
+	}
+	for i, n := range t.counts {
+		if n == 0 {
+			continue
+		}
+		entries++
+		total += uint64(n)
+		if int(n) >= minTouches {
+			wss++
+		}
+		t.counts[i] = 0
+	}
+	t.used = 0
+	return entries, wss, total
 }
 
 // similar reports whether two windows exhibit the same resource access
