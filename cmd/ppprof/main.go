@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rdasched/internal/memtrace"
@@ -23,15 +25,35 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command on explicit arguments and streams; it returns the
+// exit status: 2 for bad flags, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		app     = flag.String("app", "water_nsq", "application to profile: water_nsq or ocean_cp")
-		input   = flag.Int("input", 0, "input size (molecules or cells); 0 = the app's 1x default")
-		seed    = flag.Uint64("seed", 1, "trace seed")
-		windows = flag.Bool("windows", false, "also print per-window statistics")
-		dump    = flag.String("dump", "", "write the generated trace to this file (RDAT format) and exit")
-		load    = flag.String("load", "", "profile a previously dumped trace instead of generating one")
+		app     = fs.String("app", "water_nsq", "application to profile: water_nsq or ocean_cp")
+		input   = fs.Int("input", 0, "input size (molecules or cells); 0 = the app's 1x default")
+		seed    = fs.Uint64("seed", 1, "trace seed")
+		windows = fs.Bool("windows", false, "also print per-window statistics")
+		dump    = fs.String("dump", "", "write the generated trace to this file (RDAT format) and exit")
+		load    = fs.String("load", "", "profile a previously dumped trace instead of generating one")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "ppprof:", err)
+		return code
+	}
+	if *input < 0 {
+		return fail(2, fmt.Errorf("-input %d is negative", *input))
+	}
 
 	var (
 		stream memtrace.Stream
@@ -49,47 +71,44 @@ func main() {
 		}
 		stream, bin = workloads.OceanTrace(*input, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "ppprof: unknown app %q (want water_nsq or ocean_cp)\n", *app)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown app %q (want water_nsq or ocean_cp)", *app))
 	}
 
 	if *dump != "" {
 		f, err := os.Create(*dump)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		n, err := memtrace.WriteStream(f, stream)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d trace records to %s\n", n, *dump)
-		return
+		fmt.Fprintf(stdout, "wrote %d trace records to %s\n", n, *dump)
+		return 0
 	}
+	var loaded *memtrace.FileStream
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		defer f.Close()
-		fs, err := memtrace.NewFileStream(f)
-		if err != nil {
-			fatal(err)
+		if loaded, err = memtrace.NewFileStream(f); err != nil {
+			return fail(1, err)
 		}
-		defer func() {
-			if fs.Err() != nil {
-				fatal(fs.Err())
-			}
-		}()
-		stream = fs
+		stream = loaded
 	}
 
 	cfg := workloads.Fig12ProfilerConfig()
 	wins, err := profiler.Windows(stream, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
+	}
+	if loaded != nil && loaded.Err() != nil {
+		return fail(1, loaded.Err())
 	}
 	if *windows {
 		t := report.NewTable(fmt.Sprintf("windows (%d instructions each)", cfg.WindowInstr),
@@ -98,13 +117,13 @@ func main() {
 			t.AddRow(fmt.Sprintf("%d", w.Index), w.Footprint.String(), w.WSS.String(),
 				fmt.Sprintf("%.1f", w.ReuseRatio), fmt.Sprintf("%d", w.TopSite))
 		}
-		fmt.Print(t.String())
-		fmt.Println()
+		fmt.Fprint(stdout, t.String())
+		fmt.Fprintln(stdout)
 	}
 
 	periods, err := profiler.DetectPeriods(wins, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	profiler.Annotate(periods, bin)
 
@@ -122,11 +141,7 @@ func main() {
 			loop,
 			p.Demand().String())
 	}
-	fmt.Print(t.String())
-	fmt.Printf("\nInsert pp_begin/pp_end around each loop above to let the RDA scheduler gate it.\n")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ppprof:", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, t.String())
+	fmt.Fprintf(stdout, "\nInsert pp_begin/pp_end around each loop above to let the RDA scheduler gate it.\n")
+	return 0
 }
