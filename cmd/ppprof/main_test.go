@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rdasched/internal/memtrace"
 )
 
 // TestRun pins the command's exit statuses and, for a default run, that
@@ -45,5 +49,29 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderrPart, stderr.String())
 			}
 		})
+	}
+}
+
+// TestRunTruncatedLoad: a -load trace cut short fails with exit 1
+// before any table is printed.
+func TestRunTruncatedLoad(t *testing.T) {
+	refs := make([]memtrace.Ref, 10)
+	for i := range refs {
+		refs[i] = memtrace.Ref{Instr: uint64(i), Addr: uint64(64 * i)}
+	}
+	var b bytes.Buffer
+	if err := memtrace.WriteTrace(&b, refs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.rdat")
+	if err := os.WriteFile(path, b.Bytes()[:b.Len()-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-load", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "truncated") {
+		t.Fatalf("stdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
 	}
 }

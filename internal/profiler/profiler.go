@@ -97,7 +97,8 @@ func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 		return nil, err
 	}
 	var out []WindowStats
-	touches := newEntryTable()
+	var touches entryTable
+	touches.alloc(entryTableLog)
 	var jumps []siteCount
 	var cur WindowStats
 	cur.TopSite = -1
@@ -185,12 +186,6 @@ const (
 	entryTableGrowLog = 2
 	fibonacci         = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 )
-
-func newEntryTable() *entryTable {
-	t := &entryTable{}
-	t.alloc(entryTableLog)
-	return t
-}
 
 // alloc replaces the table with an empty one of 2^bits slots.
 func (t *entryTable) alloc(bits uint) {
