@@ -328,3 +328,42 @@ func TestCheckDemandSentinels(t *testing.T) {
 		t.Fatalf("31 MB on 15 MB compromise: %v, want ErrOversizedDemand", err)
 	}
 }
+
+// TestLateEndBesideReopenedKey pins the end of a reclaimed period whose
+// key a sibling thread has already re-opened: the sibling's new
+// instance waits for admission, and the reclaimed thread's pp_end must
+// count as a late end and leave that waiter alone.
+func TestLateEndBesideReopenedKey(t *testing.T) {
+	s, m := build(t, StrictPolicy{})
+	spec := declaredProc("pair", pp.MB(8), 1e6)
+	spec.Threads = 2
+	pair, err := m.AddProcess(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddProcess(declaredProc("hog", pp.MB(8), 1e6)); err != nil {
+		t.Fatal(err)
+	}
+	ta, tb, hog := m.ThreadByID(0), m.ThreadByID(1), m.ThreadByID(2)
+	if ta.Process() != pair || tb.Process() != pair {
+		t.Fatal("thread IDs are not dense in AddProcess order")
+	}
+	ph := &spec.Program[0]
+	if !s.EnterPhase(ta, 0, ph) {
+		t.Fatal("first period denied on an empty LLC")
+	}
+	s.reclaim(s.active[periodKey{pair.ID(), 0}])
+	if !s.EnterPhase(hog, 0, ph) {
+		t.Fatal("hog denied after the reclaim freed the LLC")
+	}
+	if s.EnterPhase(tb, 0, ph) {
+		t.Fatal("re-opened period admitted beside the hog; want it waitlisted")
+	}
+	s.ExitPhase(ta, 0, ph)
+	if st := s.Stats(); st.LateEnds != 1 || st.Reclaimed != 1 {
+		t.Fatalf("late ends %d, reclaims %d; want 1 and 1", st.LateEnds, st.Reclaimed)
+	}
+	if s.Waitlisted() != 1 {
+		t.Fatalf("waitlist %d after the late end, want the re-opened period still waiting", s.Waitlisted())
+	}
+}

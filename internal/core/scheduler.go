@@ -427,16 +427,15 @@ func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 		}
 	}
 	per := s.active[key]
-	if per == nil {
+	if per == nil || !per.admitted {
+		// No thread runs inside a waitlisted period, so an end that finds
+		// one belongs to an earlier instance of the key: the lease
+		// reclaimed the period this thread ran in, and a sibling thread
+		// has since re-opened the key and waits for admission.
 		s.stats.LateEnds++
 		s.emit(EventLateEnd, nil, key, ph.Demand())
 		s.rrec(RecLateEnd, nil, func(r *ReplayRecord) { r.InsideDel = insideDel })
 		return
-	}
-	if !per.admitted {
-		// A thread cannot be running inside a period the predicate never
-		// admitted: internal invariant, not client misbehavior.
-		panic(fmt.Sprintf("core: ExitPhase on unadmitted period (proc %d phase %d)", key.procID, phaseIdx))
 	}
 	per.refs--
 	if per.refs > 0 {
