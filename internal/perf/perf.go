@@ -858,6 +858,13 @@ func Aggregate(samples []Metrics) (mean, stddev Metrics, err error) {
 			&m.AuditRepairs, &m.DomainRecoveries, &m.DroppedPeriods,
 		}
 	}
+	spans := 0
+	for _, s := range samples {
+		spans += len(s.Spans)
+	}
+	if spans > 0 {
+		mean.Spans = make([]trace.Span, 0, spans)
+	}
 	for rep, s := range samples {
 		s := s
 		for i, f := range fields(&s) {
