@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzGovernorInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDomainInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRecoveryInvariants -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzStealMatchesSort -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"rdasched/internal/machine"
 	"rdasched/internal/pp"
@@ -133,7 +133,12 @@ type DomainSet struct {
 	reg      *telemetry.Registry // bound by SetMetrics; recovery histogram source
 	stealing bool                // reentry guard for the steal scan (and Quiesce suppression)
 	stealEv  *sim.Event          // pending not-yet-aged re-scan tick
+	memo     stealMemo           // last no-move steal pass (see stealMemo)
 	rsink    ReplaySink          // admission journal (replay.go); nil when detached or absent
+
+	// stealPass, when set, replaces stealOnce's loop; only the
+	// differential test sets it, to the sort-based oracle.
+	stealPass func(age sim.Duration)
 
 	// Fault and recovery state; nil until EnableRecovery
 	// (domain_recovery.go).
@@ -154,6 +159,10 @@ func NewDomainSet(policy Policy, llcCapacity pp.Bytes, cfg DomainConfig) (*Domai
 		cfg:      cfg,
 		single:   cfg.Domains == 1,
 		domainOf: make(map[periodKey]int),
+	}
+	if !d.single {
+		d.memo.fit = make([]fitState, cfg.Domains)
+		d.memo.changed = make([]bool, cfg.Domains)
 	}
 	for i := 0; i < cfg.Domains; i++ {
 		s := New(policy, splitShare(llcCapacity, i, cfg.Domains))
@@ -413,15 +422,60 @@ type stealCandidate struct {
 	src int
 }
 
+// stealOrder is the cross-domain service order shared by the steal pass
+// and the evacuation retry: oldest enqueue first, then the lower source
+// domain, then the lower ticket. (src, ticket) is unique, so the order
+// is total and every tie is broken.
+func stealOrder(a, b stealCandidate) int {
+	if c := cmp.Compare(a.per.enqueuedAt, b.per.enqueuedAt); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.per.ticket, b.per.ticket)
+}
+
+// fitState is everything fitTarget reads from a destination shard when
+// no governor is attached (the policy is shared and pure): two shards
+// with equal fitStates answer every period the same way.
+type fitState struct {
+	capacity, usage [pp.NumResources]pp.Bytes
+	reserve         pp.Bytes
+	offline         bool
+}
+
+func (s *Scheduler) fitState() fitState {
+	return fitState{capacity: s.rm.capacity, usage: s.rm.usage, reserve: s.reserve, offline: s.offline}
+}
+
+// stealMemo remembers the last steal pass that moved nothing: every
+// shard's fitState and the clock at that pass. Every waiter that had
+// aged by then was probed against every other shard and fit none, so
+// until the memo is invalidated such a waiter needs probing only
+// against the shards whose fitState has since changed. Comparing values
+// rather than counting mutations also covers the ledger writes that
+// bypass the monitor's methods (drift clamp, audit repair). The memo is
+// dropped on every migration, on an evacuation transfer and on
+// ImportState, and is valid again after the next pass that moves
+// nothing.
+type stealMemo struct {
+	valid   bool
+	seenAt  sim.Time
+	fit     []fitState // per shard, as of seenAt
+	changed []bool     // per shard, scratch: fitState differs from fit
+}
+
 // stealScan is the cross-domain steal pass, run (as each shard's
 // postWake hook) after every wake cascade: waitlisted periods aged past
 // StealAge are migrated, oldest enqueue first across the whole set, to
-// a domain that can admit them immediately. Each migration changes two
-// monitors, so the candidate list is rebuilt after every move until a
-// full pass moves nothing. When candidates exist but none has aged
-// yet, a timer tick re-runs the scan the moment the youngest crosses
-// the bar — covering the stall where a domain sits idle, a neighbor's
-// waiter ages, and no further event would otherwise trigger a scan.
+// a domain that can admit them immediately. A migration charges the
+// destination and frees a waitlist slot on the source, so the pass
+// repeats after every move until a full pass moves nothing. When
+// candidates exist but none has aged yet, a timer tick re-runs the scan
+// the moment the youngest crosses the bar — covering the stall where a
+// domain sits idle, a neighbor's waiter ages, and no further event
+// would otherwise trigger a scan.
 func (d *DomainSet) stealScan() {
 	age := d.cfg.stealAge()
 	if d.single || d.stealing || d.clock == nil || age <= 0 {
@@ -429,69 +483,104 @@ func (d *DomainSet) stealScan() {
 	}
 	d.stealing = true
 	defer func() { d.stealing = false }()
-	for {
-		now := d.clock()
-		var cands []stealCandidate
-		wait := sim.Duration(-1) // deficit until the next candidate ages
-		for si, s := range d.shards {
-			si, s := si, s
-			if s.offline {
-				// A quarantined shard's backlog belongs to the recovery
-				// path (evacuation / retry), not the steal pass.
-				continue
-			}
-			s.waitlist.Each(func(per *period, _ uint64) {
-				if s.breakerBlocked(per.key.procID) {
-					// The owner's misdeclaration breaker is open: stealing
-					// would admit the period on a shard that never saw the
-					// strikes, re-entering admission around the quarantine.
-					return
-				}
-				w := now.DurationSince(per.enqueuedAt)
-				if w >= age {
-					cands = append(cands, stealCandidate{per: per, src: si})
-				} else if deficit := age - w; wait < 0 || deficit < wait {
-					wait = deficit
-				}
-			})
-		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.per.enqueuedAt != b.per.enqueuedAt {
-				return a.per.enqueuedAt < b.per.enqueuedAt
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.per.ticket < b.per.ticket
-		})
-		moved := false
-		for _, c := range cands {
-			if di, ok := d.fitTarget(c.per, c.src); ok {
-				d.migrate(c.per, c.src, di, EventSteal)
-				moved = true
-				break
-			}
-		}
-		if moved {
-			continue
-		}
-		if wait >= 0 {
-			d.armStealTick(wait)
-		}
+	if d.stealPass != nil {
+		d.stealPass(age)
 		return
 	}
+	for d.stealOnce(age) {
+	}
+}
+
+// stealOnce is one pass of the steal scan; it reports whether it
+// migrated a waiter. It walks every online shard's waitlist in place
+// and keeps, among the aged waiters some other domain admits, the one
+// first in stealOrder — exactly the waiter a sort of all aged waiters
+// followed by a first-fit walk would pick — so it allocates nothing and
+// sorts nothing. With a valid memo (see stealMemo) a waiter already aged
+// at the memo's pass is probed only against the shards that changed
+// since; the memo is never used while a governor is attached, because
+// breaker state depends on the clock rather than on the fitState.
+func (d *DomainSet) stealOnce(age sim.Duration) bool {
+	now := d.clock()
+	memo := d.memo.valid && !d.governed()
+	if memo {
+		for i, s := range d.shards {
+			d.memo.changed[i] = s.fitState() != d.memo.fit[i]
+		}
+	}
+	var best stealCandidate
+	bestDst := -1
+	wait := sim.Duration(-1) // deficit until the next candidate ages
+	for si, s := range d.shards {
+		if s.offline {
+			// A quarantined shard's backlog belongs to the recovery path
+			// (evacuation / retry), not the steal pass.
+			continue
+		}
+		// The memo covers this shard's waiters only if the memo's pass
+		// walked them, i.e. the shard was online then.
+		known := memo && !d.memo.fit[si].offline
+		s.waitlist.Each(func(per *period, _ uint64) {
+			if s.breakerBlocked(per.key.procID) {
+				// The owner's misdeclaration breaker is open: stealing
+				// would admit the period on a shard that never saw the
+				// strikes, re-entering admission around the quarantine.
+				return
+			}
+			if w := now.DurationSince(per.enqueuedAt); w < age {
+				if deficit := age - w; wait < 0 || deficit < wait {
+					wait = deficit
+				}
+				return
+			}
+			c := stealCandidate{per: per, src: si}
+			if bestDst >= 0 && stealOrder(c, best) > 0 {
+				return
+			}
+			var only []bool
+			if known && d.memo.seenAt.DurationSince(per.enqueuedAt) >= age {
+				only = d.memo.changed
+			}
+			if di, ok := d.fitTarget(per, si, only); ok {
+				best, bestDst = c, di
+			}
+		})
+	}
+	if bestDst >= 0 {
+		d.migrate(best.per, best.src, bestDst, EventSteal)
+		return true
+	}
+	if wait >= 0 {
+		d.armStealTick(wait)
+	}
+	for i, s := range d.shards {
+		d.memo.fit[i] = s.fitState()
+	}
+	d.memo.seenAt = now
+	d.memo.valid = true
+	return false
+}
+
+// governed reports whether any shard has a governor attached.
+func (d *DomainSet) governed() bool {
+	for _, s := range d.shards {
+		if s.gov != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // fitTarget picks a migration destination for a period leaving shard
 // src: best fit by remaining outcome among the *other* online domains
 // that admit it right now and have not quarantined its owner process
-// (src's own wake scan already had its chance). Shared by the steal
-// pass and the evacuation path.
-func (d *DomainSet) fitTarget(per *period, src int) (int, bool) {
+// (src's own wake scan already had its chance). A non-nil only limits
+// the probe to the domains it marks. Shared by the steal pass and the
+// evacuation path.
+func (d *DomainSet) fitTarget(per *period, src int, only []bool) (int, bool) {
 	best, bestOut := -1, pp.Bytes(0)
 	for i, s := range d.shards {
-		if i == src || s.offline || s.breakerBlocked(per.key.procID) {
+		if i == src || s.offline || (only != nil && !only[i]) || s.breakerBlocked(per.key.procID) {
 			continue
 		}
 		if run, _ := s.tryScheduleAll(per.demands); !run {
@@ -551,6 +640,7 @@ func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
 	if !src.waitlist.Remove(per.ticket) {
 		panic(fmt.Sprintf("core: migration of period %d not on domain %d waitlist", per.id, si))
 	}
+	d.memo.valid = false
 	delete(src.active, per.key)
 	delete(src.byID, per.id)
 	delete(src.parked, per.key.procID)

@@ -28,7 +28,9 @@ type Policy interface {
 	Name() string
 	// Allows reports whether a period may run when admitting it leaves
 	// `outcome` bytes free (negative = oversubscription) on a resource of
-	// the given capacity.
+	// the given capacity. It must be a pure function of its arguments:
+	// the cross-domain steal pass skips re-probing shards whose monitor
+	// state has not changed (see stealMemo).
 	Allows(outcome, capacity pp.Bytes) bool
 }
 

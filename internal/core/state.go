@@ -431,6 +431,7 @@ func (d *DomainSet) ImportState(st State, resolve ThreadResolver) error {
 			return fmt.Errorf("domain %d: %w", i, err)
 		}
 	}
+	d.memo.valid = false // the imported waitlists were never walked
 	d.nextID = st.Set.NextID
 	d.placements = st.Set.Placements
 	d.steals = st.Set.Steals

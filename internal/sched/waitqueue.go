@@ -125,11 +125,10 @@ func (q *WaitQueue[T]) AgedFirst(threshold float64, prio func(T) float64) (v T, 
 	return q.items[best].v, q.items[best].seq, true
 }
 
-// Each calls fn for every waiter in FIFO (ticket) order without
-// modifying the queue. fn must not mutate the queue; callers that need
-// to remove entries collect tickets first and Remove afterwards. This
-// is the read side the cross-domain steal scan uses to enumerate aged
-// waiters across several queues.
+// Each calls fn for every waiter in FIFO (ticket) order, walking the
+// queue in place without modifying it. fn must not mutate the queue; a
+// caller that removes entries picks them during the walk and calls
+// Remove after it returns.
 func (q *WaitQueue[T]) Each(fn func(v T, ticket uint64)) {
 	for i := range q.items {
 		fn(q.items[i].v, q.items[i].seq)
