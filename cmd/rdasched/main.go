@@ -42,7 +42,7 @@ import (
 // validateFlags rejects out-of-range numeric flags with a clear error.
 // The old behaviour silently ignored an out-of-range -scale, which made
 // `-scale 10` look like a slow full run instead of a typo.
-func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, killAt float64, listen, pace string) error {
+func validateFlags(scale, jitter float64, reps, jobs, domains int, domFaults, sloMS, ckptEvery, killAt float64, listen, pace string) error {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("-scale %g out of range (need 0 < scale <= 1)", scale)
 	}
@@ -54,6 +54,12 @@ func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, kill
 	}
 	if jobs < 1 {
 		return fmt.Errorf("-jobs %d, need at least 1", jobs)
+	}
+	if domains < 0 {
+		return fmt.Errorf("-domains %d is negative", domains)
+	}
+	if domFaults < 0 {
+		return fmt.Errorf("-domain-faults %g is negative", domFaults)
 	}
 	if sloMS < 0 {
 		return fmt.Errorf("-slo-ms %g is negative", sloMS)
@@ -86,7 +92,7 @@ func main() {
 		list      = flag.Bool("list", false, "list workloads and exit")
 		all       = flag.Bool("all", false, "run every workload under every policy")
 		asJSON    = flag.Bool("json", false, "emit the measurement as JSON instead of a table")
-		timeline  = flag.Bool("timeline", false, "render a core-utilization timeline and the scheduler's last decisions")
+		timeline  = flag.Bool("timeline", false, "render a core-utilization timeline and the scheduler's last decisions for repetition 0, un-jittered, instead of the report")
 		tracePath = flag.String("trace", "", "write the run's decision spans as Chrome/Perfetto trace-event JSON to this file")
 		metrics   = flag.Bool("metrics", false, "print the telemetry registry (Prometheus text exposition) after the report")
 		jobs      = flag.Int("jobs", 1, "concurrent repetitions (output is identical for any value)")
@@ -95,7 +101,7 @@ func main() {
 		domFaults = flag.Float64("domain-faults", 0, "crash admission domain 0 at this many virtual seconds (healing at 2x) and evacuate its periods; needs -domains >= 2")
 		obsDir    = flag.String("obs-dir", "", "write a self-contained HTML observability report (blame matrix, critical path, SLO burn rate) into this directory; needs a scheduling policy")
 		sloMS     = flag.Float64("slo-ms", 0, "admission-latency SLO objective in virtual milliseconds for the -obs-dir report (0 = default 50ms)")
-		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running; needs a scheduling policy and -reps 1")
+		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running (repetition i > 0 writes into its rep<i> subdirectory); needs a scheduling policy")
 		ckptEvery = flag.Float64("checkpoint-every", 0, "virtual seconds between periodic snapshots under -checkpoint-dir (0 = journal-only after the attach snapshot)")
 		restore   = flag.String("restore", "", "restore the gate from this checkpoint directory and resume the killed run to completion")
 		killAt    = flag.Float64("kill-at", 0, "kill the process at this virtual second (crash injection; pair with -checkpoint-dir, then resume with -restore)")
@@ -111,7 +117,7 @@ func main() {
 		fmt.Println(version.String())
 		return
 	}
-	if err := validateFlags(*scale, *jitter, *reps, *jobs, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
+	if err := validateFlags(*scale, *jitter, *reps, *jobs, *domains, *domFaults, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
 		fmt.Fprintln(os.Stderr, "rdasched:", err)
 		os.Exit(2)
 	}
@@ -158,12 +164,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-	if *timeline {
-		if err := runTimeline(os.Stdout, w, pol); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	rc := perf.RunConfig{
 		Machine:     machine.DefaultConfig(),
@@ -233,7 +233,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rdasched: restored seq %d (snapshot %d + %d replayed), resuming from %.3fs virtual\n",
 			res.Seq, res.SnapshotSeq, res.Replayed, res.KillAt.Seconds())
 	}
-	mean, sd, err := perf.Run(w, rc)
+	var mean, sd perf.Metrics
+	if *timeline {
+		err = runTimeline(os.Stdout, w, rc)
+	} else {
+		mean, sd, err = perf.Run(w, rc)
+	}
 	if err != nil {
 		// A signal-requested stop is a clean, intentional end of the
 		// run: report it and exit 0 (partial measurements are discarded,
@@ -250,6 +255,9 @@ func main() {
 			return
 		}
 		fatal(err)
+	}
+	if *timeline {
+		return
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, mean.Spans); err != nil {
@@ -390,32 +398,22 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runTimeline executes one un-jittered run with utilization sampling and
-// a decision-log ring subscribed to the scheduler, and renders both to
-// out.
-func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
-	cfg := machine.DefaultConfig()
-	var gate machine.Gate
-	var schd *core.Scheduler
-	var ring *core.EventRing
-	if pol == nil {
-		w = perf.Undeclare(w)
-	} else {
-		schd = core.New(pol, cfg.LLCCapacity)
-		ring = core.NewEventRing(64)
-		schd.AddSink(ring)
-		gate = schd
-	}
-	m := machine.New(cfg, gate)
-	if schd != nil {
-		schd.SetWaker(m)
-		schd.SetClock(m.Now)
-	}
-	m.EnableTimeline(0) // default interval
-	if err := m.AddWorkload(w); err != nil {
+// runTimeline executes repetition 0 of rc, un-jittered, with
+// utilization sampling and a decision-log ring subscribed to the gate,
+// and renders both to out.
+func runTimeline(out io.Writer, w proc.Workload, rc perf.RunConfig) error {
+	rc.JitterFrac = 0
+	r, err := perf.Start(w, rc, 0)
+	if err != nil {
 		return err
 	}
-	res, err := m.Run()
+	var ring *core.EventRing
+	if rc.Policy != nil {
+		ring = core.NewEventRing(64)
+		r.AddSink(ring)
+	}
+	r.Machine().EnableTimeline(0) // default interval
+	_, res, err := r.Finish()
 	if err != nil {
 		return err
 	}
@@ -432,7 +430,7 @@ func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
 		labels = append(labels, fmt.Sprintf("%6.2fs", samples[i].At.Seconds()))
 		busy = append(busy, samples[i].BusyCores)
 	}
-	fmt.Fprint(out, report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
+	fmt.Fprint(out, report.Bars(fmt.Sprintf("busy cores over time (of %d)", rc.Machine.Cores), labels, busy, 48))
 
 	if ring != nil {
 		events := ring.Events()

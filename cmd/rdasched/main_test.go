@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rdasched/internal/core"
+	"rdasched/internal/machine"
+	"rdasched/internal/perf"
 	"rdasched/internal/proc"
 	"rdasched/internal/workloads"
 )
@@ -18,7 +20,8 @@ import (
 func TestValidateFlags(t *testing.T) {
 	type in struct {
 		scale, jitter            float64
-		reps, jobs               int
+		reps, jobs, domains      int
+		domFaults                float64
 		sloMS, ckptEvery, killAt float64
 		listen, pace             string
 	}
@@ -39,6 +42,9 @@ func TestValidateFlags(t *testing.T) {
 		{"jitter-negative", in{scale: 1, jitter: -0.1, reps: 1, jobs: 1, pace: "max"}, "-jitter"},
 		{"reps-zero", in{scale: 1, reps: 0, jobs: 1, pace: "max"}, "-reps"},
 		{"jobs-zero", in{scale: 1, reps: 1, jobs: 0, pace: "max"}, "-jobs"},
+		{"sharded-with-faults", in{scale: 1, reps: 1, jobs: 1, domains: 2, domFaults: 0.5, pace: "max"}, ""},
+		{"domains-negative", in{scale: 1, reps: 1, jobs: 1, domains: -3, pace: "max"}, "-domains"},
+		{"domain-faults-negative", in{scale: 1, reps: 1, jobs: 1, domains: 2, domFaults: -1, pace: "max"}, "-domain-faults"},
 		{"slo-negative", in{scale: 1, reps: 1, jobs: 1, sloMS: -50, pace: "max"}, "-slo-ms"},
 		{"checkpoint-every-negative", in{scale: 1, reps: 1, jobs: 1, ckptEvery: -1, pace: "max"}, "-checkpoint-every"},
 		{"kill-at-negative", in{scale: 1, reps: 1, jobs: 1, killAt: -2, pace: "max"}, "-kill-at"},
@@ -52,7 +58,7 @@ func TestValidateFlags(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			err := validateFlags(tc.in.scale, tc.in.jitter, tc.in.reps, tc.in.jobs,
-				tc.in.sloMS, tc.in.ckptEvery, tc.in.killAt, tc.in.listen, tc.in.pace)
+				tc.in.domains, tc.in.domFaults, tc.in.sloMS, tc.in.ckptEvery, tc.in.killAt, tc.in.listen, tc.in.pace)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)
@@ -70,41 +76,55 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestTimeline drives the -timeline mode end to end on a reduced Table 2
-// workload: the busy-cores bar chart renders, and a strict run prints
-// the decision ring it subscribed (full at 64 events, with the earlier
-// ones counted as dropped).
+// workload: the busy-cores bar chart renders, and a gated run prints the
+// decision ring it subscribed (full at 64 events, with the earlier ones
+// counted as dropped). The run goes through perf.Start, so the run flags
+// apply: two Strict domains put placement decisions in the ring.
 func TestTimeline(t *testing.T) {
 	w, err := workloads.ByName("water_nsq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w = proc.ScaleInstr(w, 0.05)
-	var out bytes.Buffer
-	if err := runTimeline(&out, w, core.StrictPolicy{}); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "busy cores over time (of ") {
-		t.Fatalf("no busy-cores chart in timeline output:\n%s", got)
-	}
-	var n, dropped int
-	i := strings.Index(got, "\nlast ")
-	if i < 0 {
-		t.Fatalf("no decision block in timeline output:\n%s", got)
-	}
-	if _, err := fmt.Sscanf(got[i+1:], "last %d scheduler decisions (%d earlier dropped):", &n, &dropped); err != nil {
-		t.Fatalf("decision block header: %v\n%s", err, got[i:])
-	}
-	if n != 64 || dropped == 0 {
-		t.Fatalf("decision block shows %d events, %d dropped; want a full 64-event ring with drops", n, dropped)
-	}
-	if lines := strings.Count(got[i:], "\n   "); lines != n {
-		t.Fatalf("decision block lists %d events, header says %d", lines, n)
+	cfg := machine.DefaultConfig()
+	for _, tc := range []struct {
+		name      string
+		rc        perf.RunConfig
+		wantPlace bool
+	}{
+		{"strict", perf.RunConfig{Machine: cfg, Policy: core.StrictPolicy{}, Seed: 1}, false},
+		{"strict-2-domains", perf.RunConfig{Machine: cfg, Policy: core.StrictPolicy{}, Seed: 1, Domains: 2}, true},
+	} {
+		var out bytes.Buffer
+		if err := runTimeline(&out, w, tc.rc); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := out.String()
+		if !strings.Contains(got, "busy cores over time (of ") {
+			t.Fatalf("%s: no busy-cores chart in timeline output:\n%s", tc.name, got)
+		}
+		var n, dropped int
+		i := strings.Index(got, "\nlast ")
+		if i < 0 {
+			t.Fatalf("%s: no decision block in timeline output:\n%s", tc.name, got)
+		}
+		if _, err := fmt.Sscanf(got[i+1:], "last %d scheduler decisions (%d earlier dropped):", &n, &dropped); err != nil {
+			t.Fatalf("%s: decision block header: %v\n%s", tc.name, err, got[i:])
+		}
+		if n != 64 || dropped == 0 {
+			t.Fatalf("%s: decision block shows %d events, %d dropped; want a full 64-event ring with drops", tc.name, n, dropped)
+		}
+		if lines := strings.Count(got[i:], "\n   "); lines != n {
+			t.Fatalf("%s: decision block lists %d events, header says %d", tc.name, lines, n)
+		}
+		if place := strings.Contains(got[i:], " place "); place != tc.wantPlace {
+			t.Fatalf("%s: place decision in the ring = %v, want %v:\n%s", tc.name, place, tc.wantPlace, got[i:])
+		}
 	}
 
 	// The uninstrumented baseline has no scheduler, so no decision block.
-	out.Reset()
-	if err := runTimeline(&out, w, nil); err != nil {
+	var out bytes.Buffer
+	if err := runTimeline(&out, w, perf.RunConfig{Machine: cfg, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "scheduler decisions") {

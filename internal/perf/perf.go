@@ -230,43 +230,64 @@ func (rc RunConfig) Reps() int {
 }
 
 // Run measures a workload and returns the mean metrics and their
-// standard deviation across repetitions. With rc.Jobs > 1 the
-// repetitions run concurrently on a worker pool; the result is
-// bit-identical to the serial loop because every repetition is a pure
-// function of its index and samples are aggregated in repetition
-// order.
+// standard deviation across repetitions, run by runner.Map on
+// max(rc.Jobs, 1) workers: bit-identical for every worker count, every
+// repetition runs, and the error is the lowest-index one.
 func Run(w proc.Workload, rc RunConfig) (mean, stddev Metrics, err error) {
-	if rc.Jobs > 1 {
-		samples, err := runner.Map(rc.Jobs, rc.Reps(), func(i int) (Metrics, error) {
-			return Sample(w, rc, i)
-		})
-		if err != nil {
-			return Metrics{}, Metrics{}, fmt.Errorf("perf: %w", err)
-		}
-		return Aggregate(samples)
-	}
-	var samples []Metrics
-	for i := 0; i < rc.Reps(); i++ {
-		m, err := Sample(w, rc, i)
-		if err != nil {
-			return Metrics{}, Metrics{}, fmt.Errorf("perf: repetition %d: %w", i, err)
-		}
-		samples = append(samples, m)
+	samples, err := runner.Map(max(rc.Jobs, 1), rc.Reps(), func(i int) (Metrics, error) {
+		return Sample(w, rc, i)
+	})
+	if err != nil {
+		return Metrics{}, Metrics{}, fmt.Errorf("perf: %w", err)
 	}
 	return Aggregate(samples)
 }
 
-// Sample measures repetition rep of the configuration. It is a pure
-// function of (w, rc, rep): the jitter stream derives from rc.Seed and
-// rep alone, never from a generator shared across repetitions, so
-// repetitions may run concurrently — in any order, on any worker — and
-// still produce the exact metrics a serial loop would.
+// Sample measures repetition rep of the configuration: Start, then
+// Finish.
 func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
+	r, err := Start(w, rc, rep)
+	if err != nil {
+		return Metrics{}, err
+	}
+	m, _, err := r.Finish()
+	return m, err
+}
+
+// Rep is one repetition of a configuration, wired but not yet run. Start
+// builds it and Finish runs it; in between, a caller may enable the
+// machine's timeline or subscribe further sinks to the gate.
+type Rep struct {
+	rc   RunConfig
+	m    *machine.Machine
+	gate *core.DomainSet // the live gate (nil for the baseline); revival replaces it
+
+	// Observers, created on the first bind and subscribed to every gate
+	// the run uses, so a revived run's streams cover it exactly once.
+	reg   *telemetry.Registry
+	col   *trace.Collector
+	bcol  *blame.Collector
+	smon  *blame.SLOMonitor
+	sinks []core.EventSink
+	pacer *obsrv.Pacer
+
+	cp *persist.Checkpointer
+	tr *stateTracker
+}
+
+// Start builds repetition rep of the configuration, ready to run. It is
+// a pure function of (w, rc, rep): the fault and jitter streams derive
+// from rc.Seed and rep alone, so repetitions may run concurrently, in
+// any order, and still produce the exact metrics a serial loop would.
+func Start(w proc.Workload, rc RunConfig, rep int) (*Rep, error) {
 	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 && rc.Domains < 2 {
-		return Metrics{}, errors.New("perf: domain faults need Domains >= 2: a failed shard needs a survivor to evacuate to")
+		return nil, errors.New("perf: domain faults need Domains >= 2: a failed shard needs a survivor to evacuate to")
 	}
 	if err := w.Validate(); err != nil {
-		return Metrics{}, err
+		return nil, err
+	}
+	if err := validatePersist(rc); err != nil {
+		return nil, err
 	}
 	if rc.Faults != nil && rc.Faults.Enabled() {
 		w = rc.Faults.Apply(w, runner.Seed(rc.Seed+0xfa17, uint64(rep)))
@@ -274,12 +295,86 @@ func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
 	if rc.JitterFrac > 0 {
 		w = jitter(w, rc.JitterFrac, sim.NewRNG(runner.Seed(rc.Seed+0x5eed, uint64(rep))))
 	}
-	return runOnce(w, rc, uint64(rep))
+	if rc.Policy == nil {
+		w = Undeclare(w)
+	}
+	cfg := rc.Machine
+	cfg.Seed = rc.Seed*1000 + uint64(rep)
+	gate, err := newGate(rc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var mg machine.Gate
+	if gate != nil {
+		mg = gate
+	}
+	r := &Rep{rc: rc, m: machine.New(cfg, mg)}
+	eng := r.m.Engine()
+	if gate != nil {
+		if err := r.bind(gate); err != nil {
+			return nil, err
+		}
+	}
+	if rc.Obsrv != nil || rc.Pace > 0 {
+		r.pacer = obsrv.NewPacer(rc.Pace)
+		eng.SetStepHook(r.step)
+		if rc.Obsrv != nil {
+			rc.Obsrv.SetReady(true)
+		}
+	}
+	// Arm the process-death fault. A revival run re-arms the exact kill
+	// its checkpoint recorded, so the pre-kill prefix re-executes
+	// identically and halts at the same engine event.
+	killAt := sim.Duration(0)
+	if rc.Faults != nil && rc.Faults.KillAt > 0 {
+		killAt = rc.Faults.KillAt
+	}
+	if rc.Restore != nil {
+		killAt = rc.Restore.KillAt
+	}
+	if killAt > 0 {
+		eng.After(killAt, eng.Halt)
+	}
+	if gate != nil && rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
+		if err := armDomainFaults(gate, eng, rc.Faults.DomainFaults); err != nil {
+			return nil, err
+		}
+	}
+	if rc.Checkpoint != nil {
+		pcfg := *rc.Checkpoint
+		pcfg.Dir = checkpointDir(pcfg.Dir, uint64(rep))
+		if r.cp, err = persist.Attach(pcfg, gate, killAt); err != nil {
+			return nil, err
+		}
+		gate.SetReplaySink(r.cp)
+	}
+	if rc.Restore != nil {
+		if r.tr, err = newStateTracker(rc.Restore.State); err != nil {
+			return nil, err
+		}
+		gate.SetReplaySink(r.tr)
+	}
+	if err := r.m.AddWorkload(w); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Machine returns the repetition's machine.
+func (r *Rep) Machine() *machine.Machine { return r.m }
+
+// AddSink subscribes sink to the gate's decision stream for the whole
+// run, revival included (a no-op for the ungated baseline).
+func (r *Rep) AddSink(sink core.EventSink) {
+	r.sinks = append(r.sinks, sink)
+	if r.gate != nil {
+		r.gate.AddSink(sink)
+	}
 }
 
 // newGate builds the admission gate for one repetition (nil for the
-// uninstrumented baseline). Extracted from runOnce so the restore path
-// can build a second, identical gate to import the checkpoint into.
+// uninstrumented baseline). Start builds the first; revival builds a
+// second, identical gate to import the checkpoint into.
 func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
 	if rc.Policy == nil {
 		return nil, nil
@@ -313,98 +408,79 @@ func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
 	return dset, nil
 }
 
-// runSinks holds the observers shared by a repetition's gates. The
-// restore path binds them to two gates in sequence — the one that
-// re-executes the pre-kill prefix and the one built from the checkpoint
-// — so the resulting trace, metrics, and SLO streams cover the whole
-// run exactly once, like an uninterrupted run's would.
-type runSinks struct {
-	reg  *telemetry.Registry
-	col  *trace.Collector
-	bcol *blame.Collector
-	smon *blame.SLOMonitor
-	in   *introspection
-}
-
-// introspection is the per-repetition bridge between the engine step
-// hook and the live server: stop requests, wall-clock pacing, and
-// periodic state/blame publication. It runs entirely on the engine
-// goroutine; the gate pointer is re-aimed when the restore path swaps
-// gates so /state keeps tracking the live one.
-type introspection struct {
-	srv   *obsrv.Server
-	pacer *obsrv.Pacer
-	eng   *sim.Engine
-	gate  *core.DomainSet
-	sk    *runSinks
-}
-
-// step is the sim.Engine hook: honor a pending stop first (so a stuck
-// reader or a long pace sleep cannot delay shutdown past one event),
-// then pace, then maybe publish snapshots. Halt is the hook's one
-// sanctioned engine mutation.
-func (in *introspection) step(now sim.Time) {
-	if in.srv != nil && in.srv.StopRequested() {
-		in.eng.Halt()
-		return
-	}
-	in.pacer.Pace(now)
-	if in.srv == nil || in.gate == nil {
-		return
-	}
-	var rpt func() *blame.Report
-	if in.sk.bcol != nil {
-		rpt = in.sk.bcol.Report
-	}
-	in.srv.MaybePublish(in.gate.ExportState, rpt)
-}
-
-// bind wires one gate to the machine and attaches the (lazily created)
-// observers.
-func (sk *runSinks) bind(schd *core.DomainSet, m *machine.Machine, rc RunConfig) error {
-	schd.SetWaker(m)
-	schd.SetClock(m.Now)
-	schd.SetTimer(m.Engine())
-	schd.SetLease(rc.Lease)
-	schd.SetAdmissionDeadline(rc.AdmitDeadline)
+// bind makes g the repetition's live gate: it wires g to the machine and
+// subscribes the observers, creating each on first use.
+func (r *Rep) bind(g *core.DomainSet) error {
+	rc := r.rc
+	r.gate = g
+	g.SetWaker(r.m)
+	g.SetClock(r.m.Now)
+	g.SetTimer(r.m.Engine())
+	g.SetLease(rc.Lease)
+	g.SetAdmissionDeadline(rc.AdmitDeadline)
 	if rc.Governor != nil {
-		schd.EnableGovernor(*rc.Governor)
+		g.EnableGovernor(*rc.Governor)
 	}
 	if rc.Telemetry {
-		if sk.reg == nil {
-			sk.reg = telemetry.NewRegistry()
+		if r.reg == nil {
+			r.reg = telemetry.NewRegistry()
 		}
-		schd.SetMetrics(sk.reg)
+		g.SetMetrics(r.reg)
 	}
 	if rc.Trace {
-		if sk.col == nil {
-			sk.col = trace.NewCollector()
+		if r.col == nil {
+			r.col = trace.NewCollector()
 		}
-		schd.AddSink(sk.col)
+		g.AddSink(r.col)
 	}
 	if rc.Blame {
-		if sk.bcol == nil {
-			sk.bcol = blame.NewCollector()
+		if r.bcol == nil {
+			r.bcol = blame.NewCollector()
 		}
-		schd.AddSink(sk.bcol)
+		g.AddSink(r.bcol)
 	}
 	if rc.SLO != nil {
-		if sk.smon == nil {
+		if r.smon == nil {
 			var err error
-			sk.smon, err = blame.NewSLOMonitor(*rc.SLO)
+			r.smon, err = blame.NewSLOMonitor(*rc.SLO)
 			if err != nil {
 				return err
 			}
 		}
-		schd.AddSink(sk.smon)
+		g.AddSink(r.smon)
 	}
 	if rc.Obsrv != nil {
-		schd.AddSink(rc.Obsrv.Hub())
-		if sk.reg != nil {
-			rc.Obsrv.SetRegistry(sk.reg)
+		g.AddSink(rc.Obsrv.Hub())
+		if r.reg != nil {
+			rc.Obsrv.SetRegistry(r.reg)
 		}
 	}
+	for _, s := range r.sinks {
+		g.AddSink(s)
+	}
 	return nil
+}
+
+// step is the engine step hook, installed with a live server or pacing:
+// honor a pending stop first (so a stuck reader or a long pace sleep
+// cannot delay shutdown past one event), then pace, then maybe publish
+// the live gate's /state and the /blame snapshots. Halt is the hook's
+// one sanctioned engine mutation.
+func (r *Rep) step(now sim.Time) {
+	srv := r.rc.Obsrv
+	if srv != nil && srv.StopRequested() {
+		r.m.Engine().Halt()
+		return
+	}
+	r.pacer.Pace(now)
+	if srv == nil || r.gate == nil {
+		return
+	}
+	var rpt func() *blame.Report
+	if r.bcol != nil {
+		rpt = r.bcol.Report
+	}
+	srv.MaybePublish(r.gate.ExportState, rpt)
 }
 
 // validatePersist rejects checkpoint/restore configurations the journal
@@ -484,177 +560,51 @@ func checkpointDir(base string, rep uint64) string {
 	return filepath.Join(base, fmt.Sprintf("rep%d", rep))
 }
 
-func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
-	cfg := rc.Machine
-	cfg.Seed = rc.Seed*1000 + rep
+// Finish runs the repetition to completion and returns its metrics and
+// the machine's result. A run that restores a checkpoint is revived when
+// its re-executed prefix halts at the recorded kill time. Any other halt
+// ends the run: an injected kill returns an error matching
+// machine.ErrHalted and a stop request one matching ErrStopped, after
+// the checkpoint, if any, is closed.
+func (r *Rep) Finish() (Metrics, *machine.Result, error) {
+	res, err := r.m.Run()
+	// An external stop request (SIGTERM) is checked before the revival:
+	// a stop during prefix re-execution must not be mistaken for
+	// reaching the checkpointed kill time.
+	stopped := func() bool { return r.rc.Obsrv != nil && r.rc.Obsrv.StopRequested() }
+	if errors.Is(err, machine.ErrHalted) && r.rc.Restore != nil && !stopped() {
+		res, err = r.revive()
+	}
+	if errors.Is(err, machine.ErrHalted) {
+		// The run ends here, by request or by the injected process
+		// death; either way leave any checkpoint consistent, since it is
+		// everything the run leaves behind.
+		if r.cp != nil {
+			if cerr := r.cp.Close(); cerr != nil {
+				return Metrics{}, nil, cerr
+			}
+		}
+		if stopped() {
+			return Metrics{}, nil, fmt.Errorf("perf: run stopped at %v: %w", r.m.Now(), ErrStopped)
+		}
+		return Metrics{}, nil, fmt.Errorf("perf: process killed at %v: %w", r.m.Now(), err)
+	}
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	met, err := r.collect(res)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	return met, res, nil
+}
 
-	if err := validatePersist(rc); err != nil {
-		return Metrics{}, err
-	}
-	if rc.Policy == nil {
-		w = Undeclare(w)
-	}
-	schd, err := newGate(rc, cfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	var gate machine.Gate
-	if schd != nil {
-		gate = schd
-	}
-	m := machine.New(cfg, gate)
-	sk := &runSinks{}
-	if schd != nil {
-		if err := sk.bind(schd, m, rc); err != nil {
-			return Metrics{}, err
-		}
-	}
-	if rc.Obsrv != nil || rc.Pace > 0 {
-		sk.in = &introspection{
-			srv:   rc.Obsrv,
-			pacer: obsrv.NewPacer(rc.Pace),
-			eng:   m.Engine(),
-			gate:  schd,
-			sk:    sk,
-		}
-		m.Engine().SetStepHook(sk.in.step)
-		if rc.Obsrv != nil {
-			rc.Obsrv.SetReady(true)
-		}
-	}
-	// Arm the process-death fault. A revival run re-arms the exact kill
-	// its checkpoint recorded, so the pre-kill prefix re-executes
-	// identically and halts at the same engine event.
-	killAt := sim.Duration(0)
-	if rc.Faults != nil && rc.Faults.KillAt > 0 {
-		killAt = rc.Faults.KillAt
-	}
-	if rc.Restore != nil {
-		killAt = rc.Restore.KillAt
-	}
-	if killAt > 0 {
-		eng := m.Engine()
-		eng.After(killAt, eng.Halt)
-	}
-	if schd != nil && rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-		if err := armDomainFaults(schd, m.Engine(), rc.Faults.DomainFaults); err != nil {
-			return Metrics{}, err
-		}
-	}
-	var cp *persist.Checkpointer
-	if rc.Checkpoint != nil {
-		pcfg := *rc.Checkpoint
-		pcfg.Dir = checkpointDir(pcfg.Dir, rep)
-		cp, err = persist.Attach(pcfg, schd, killAt)
-		if err != nil {
-			return Metrics{}, err
-		}
-		schd.SetReplaySink(cp)
-	}
-	var tr *stateTracker
-	if rc.Restore != nil {
-		tr, err = newStateTracker(rc.Restore.State)
-		if err != nil {
-			return Metrics{}, err
-		}
-		schd.SetReplaySink(tr)
-	}
-	if err := m.AddWorkload(w); err != nil {
-		return Metrics{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		if !errors.Is(err, machine.ErrHalted) {
-			return Metrics{}, err
-		}
-		// An external stop request (SIGTERM) is checked before the
-		// restore branch: a stop during prefix re-execution must not be
-		// mistaken for reaching the checkpointed kill time.
-		stopped := rc.Obsrv != nil && rc.Obsrv.StopRequested()
-		if stopped || rc.Restore == nil {
-			// The run ends here, by request or by the injected process
-			// death; either way leave any checkpoint consistent, since it
-			// is everything the run leaves behind.
-			if cp != nil {
-				if cerr := cp.Close(); cerr != nil {
-					return Metrics{}, cerr
-				}
-			}
-			if stopped {
-				return Metrics{}, fmt.Errorf("perf: run stopped at %v: %w", m.Now(), ErrStopped)
-			}
-			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
-		}
-		schd, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
-		if err != nil {
-			return Metrics{}, err
-		}
-	}
-	reg, col, bcol, smon := sk.reg, sk.col, sk.bcol, sk.smon
-	var rob core.Stats
-	var gov core.GovernorStats
-	var dst core.DomainStats
-	var rst core.RecoveryStats
-	if schd != nil {
-		// End-of-run reclamation: periods still registered lost their
-		// owners (leaked ends, crashed threads); return their load so the
-		// monitor reads zero and the counters include the residue.
-		schd.Quiesce()
-		rob, gov = schd.Stats(), schd.GovernorStats()
-		dst, rst = schd.DomainStats(), schd.RecoveryStats()
-		if reg != nil {
-			schd.PublishStats(reg)
-		}
-		if col != nil {
-			// Quiesce already closed admitted spans via reclaim events;
-			// this closes the still-waitlisted ones.
-			col.Finish(m.Now())
-		}
-	}
-	var spans []trace.Span
-	if col != nil {
-		spans = col.Spans()
-	}
-	var brpt *blame.Report
-	if bcol != nil {
-		// Finish after Quiesce: the reclaim/wake cascade it triggers is
-		// part of the run, and still-open waits close at quiesce time.
-		bcol.Finish(m.Now())
-		brpt = bcol.Report()
-		brpt.Publish(reg)
-	}
-	var slo *blame.SLOResult
-	if smon != nil {
-		slo = smon.Result()
-		slo.Publish(reg)
-	}
-	if cp != nil {
-		// Surface any sticky journal I/O error: a run whose checkpoint
-		// silently failed must not report success.
-		if err := cp.Close(); err != nil {
-			return Metrics{}, err
-		}
-		if reg != nil {
-			cp.Publish(reg)
-		}
-	}
-	if rc.Restore != nil && reg != nil {
-		rc.Restore.Publish(reg)
-	}
-	if rc.Obsrv != nil {
-		// Publish the end-of-run snapshots unconditionally so /state and
-		// /blame reflect the final (post-Quiesce) picture even for runs
-		// shorter than the publication period.
-		if schd != nil {
-			_ = rc.Obsrv.PublishState(schd.ExportState())
-		}
-		_ = rc.Obsrv.PublishBlame(brpt)
-	}
-	return Metrics{
+// collect closes the observation of a completed run and assembles its
+// metrics.
+func (r *Rep) collect(res *machine.Result) (Metrics, error) {
+	g, reg, now := r.gate, r.reg, r.m.Now()
+	met := Metrics{
 		Telemetry: reg,
-		Spans:     spans,
-		Blame:     brpt,
-		SLO:       slo,
 
 		SystemJ:       res.SystemJ,
 		DRAMJ:         res.DRAMJ,
@@ -666,32 +616,79 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		AvgBusyCores:  res.AvgBusyCores,
 		Blocks:        res.Counters.PPBlocks,
 		Wakeups:       res.Counters.Wakeups,
-
-		ReclaimedLeases:    float64(rob.Reclaimed),
-		FallbackAdmissions: float64(rob.Fallbacks),
-		RejectedDemands:    float64(rob.Rejected),
-		MaxWaitSec:         rob.MaxWait.Seconds(),
-
-		GovernorDegradations: float64(gov.Degradations),
-		GovernorRecoveries:   float64(gov.Recoveries),
-		GovernorQuarantines:  float64(gov.Quarantines),
-		GovernorRestores:     float64(gov.Restores),
-		GovernorReservations: float64(gov.Reservations),
-
-		DomainPlacements: float64(dst.Placements),
-		DomainSteals:     float64(dst.Steals),
-
-		DomainFailures:   float64(rst.Failures),
-		Evacuations:      float64(rst.Evacuations),
-		EvacRetries:      float64(rst.EvacRetries),
-		AuditRepairs:     float64(rst.AuditRepairs),
-		DomainRecoveries: float64(rst.Reintegrations),
-		DroppedPeriods:   float64(rst.Dropped),
-	}, nil
+	}
+	if g != nil {
+		// End-of-run reclamation: periods still registered lost their
+		// owners (leaked ends, crashed threads); return their load so the
+		// monitor reads zero and the counters include the residue.
+		g.Quiesce()
+		rob, gov := g.Stats(), g.GovernorStats()
+		dst, rst := g.DomainStats(), g.RecoveryStats()
+		met.ReclaimedLeases = float64(rob.Reclaimed)
+		met.FallbackAdmissions = float64(rob.Fallbacks)
+		met.RejectedDemands = float64(rob.Rejected)
+		met.MaxWaitSec = rob.MaxWait.Seconds()
+		met.GovernorDegradations = float64(gov.Degradations)
+		met.GovernorRecoveries = float64(gov.Recoveries)
+		met.GovernorQuarantines = float64(gov.Quarantines)
+		met.GovernorRestores = float64(gov.Restores)
+		met.GovernorReservations = float64(gov.Reservations)
+		met.DomainPlacements = float64(dst.Placements)
+		met.DomainSteals = float64(dst.Steals)
+		met.DomainFailures = float64(rst.Failures)
+		met.Evacuations = float64(rst.Evacuations)
+		met.EvacRetries = float64(rst.EvacRetries)
+		met.AuditRepairs = float64(rst.AuditRepairs)
+		met.DomainRecoveries = float64(rst.Reintegrations)
+		met.DroppedPeriods = float64(rst.Dropped)
+		if reg != nil {
+			g.PublishStats(reg)
+		}
+	}
+	if r.col != nil {
+		// Quiesce already closed admitted spans via reclaim events; this
+		// closes the still-waitlisted ones.
+		r.col.Finish(now)
+		met.Spans = r.col.Spans()
+	}
+	if r.bcol != nil {
+		// Finish after Quiesce: the reclaim/wake cascade it triggers is
+		// part of the run, and still-open waits close at quiesce time.
+		r.bcol.Finish(now)
+		met.Blame = r.bcol.Report()
+		met.Blame.Publish(reg)
+	}
+	if r.smon != nil {
+		met.SLO = r.smon.Result()
+		met.SLO.Publish(reg)
+	}
+	if r.cp != nil {
+		// Surface any sticky journal I/O error: a run whose checkpoint
+		// silently failed must not report success.
+		if err := r.cp.Close(); err != nil {
+			return Metrics{}, err
+		}
+		if reg != nil {
+			r.cp.Publish(reg)
+		}
+	}
+	if r.rc.Restore != nil && reg != nil {
+		r.rc.Restore.Publish(reg)
+	}
+	if srv := r.rc.Obsrv; srv != nil {
+		// Publish the end-of-run snapshots unconditionally so /state and
+		// /blame reflect the final (post-Quiesce) picture even for runs
+		// shorter than the publication period.
+		if g != nil {
+			_ = srv.PublishState(g.ExportState())
+		}
+		_ = srv.PublishBlame(met.Blame)
+	}
+	return met, nil
 }
 
-// resumeRestored is the revival protocol, entered when the re-executed
-// pre-kill prefix halts at the checkpointed kill time:
+// revive is the revival protocol, entered when the re-executed pre-kill
+// prefix halts at the checkpointed kill time:
 //
 //  1. Verify: the live gate's exported state must match the tracked
 //     restored state — the checkpoint plus every record the prefix
@@ -704,10 +701,12 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 //     the checksums caught, or nondeterminism; either way, refuse.
 //  2. Detach the prefix gate: cancel its timers, drop its sinks; any
 //     already-queued event against it becomes a no-op.
-//  3. Build a fresh gate from the run configuration, import the
-//     restored state into it (re-linking waiter threads through the
-//     machine, re-arming every lease/deadline/tick at its original
-//     expiry), re-attach the observers, and swap it under the machine.
+//  3. Build a fresh gate from the run configuration, bind it in the
+//     prefix gate's place (the same observers, so the step hook and the
+//     end-of-run collection follow it), import the restored state into
+//     it (re-linking waiter threads through the machine, re-arming every
+//     lease/deadline/tick at its original expiry), and swap it under
+//     the machine.
 //  4. Clear the halt and drive the run to completion.
 //
 // The imported state — not the re-executed prefix gate — owns the rest
@@ -715,16 +714,16 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 // snapshot or journal misrepresents changes the resumed schedule, and
 // the E9 golden (byte-identical final tables vs. the unkilled run)
 // catches it.
-func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
-	if tr.err != nil {
-		return nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
+func (r *Rep) revive() (*machine.Result, error) {
+	if r.tr.err != nil {
+		return nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", r.tr.err)
 	}
-	live := old.ExportState()
-	want := tr.st
+	live := r.gate.ExportState()
+	want := r.tr.st
 	want.At = live.At
 	lb, err := live.Canonical()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// An old unsharded checkpoint has no set state: compare it as the
 	// empty one a single-domain set exports (ImportState rejects N >= 2).
@@ -734,35 +733,26 @@ func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *c
 	}
 	wb, err := cmp.Canonical()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !bytes.Equal(lb, wb) {
-		return nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
-			m.Now(), len(wb), len(lb))
+		return nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
+			r.m.Now(), len(wb), len(lb))
 	}
-	old.Detach()
-	schd, err := newGate(rc, cfg)
+	r.gate.Detach()
+	g, err := newGate(r.rc, r.m.Config())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := sk.bind(schd, m, rc); err != nil {
-		return nil, nil, err
+	if err := r.bind(g); err != nil {
+		return nil, err
 	}
-	if err := schd.ImportState(want, m.ThreadByID); err != nil {
-		return nil, nil, err
+	if err := g.ImportState(want, r.m.ThreadByID); err != nil {
+		return nil, err
 	}
-	if sk.in != nil {
-		// The imported gate owns the rest of the run; /state must track
-		// it, not the detached prefix gate.
-		sk.in.gate = schd
-	}
-	m.SetGate(schd)
-	m.Engine().Resume()
-	res, err := m.Resume()
-	if err != nil {
-		return nil, nil, err
-	}
-	return schd, res, nil
+	r.m.SetGate(g)
+	r.m.Engine().Resume()
+	return r.m.Resume()
 }
 
 // armDomainFaults schedules a plan's domain-level faults on the run's

@@ -1,14 +1,19 @@
 package perf
 
 import (
+	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"rdasched/internal/core"
+	"rdasched/internal/faults"
 	"rdasched/internal/machine"
+	"rdasched/internal/persist"
 	"rdasched/internal/pp"
 	"rdasched/internal/proc"
+	"rdasched/internal/sim"
 )
 
 func tinyWorkload(n int, declared bool) proc.Workload {
@@ -139,5 +144,83 @@ func TestMetricConsistency(t *testing.T) {
 	wantEff := m.GFLOPS * m.ElapsedSec / m.SystemJ
 	if math.Abs(m.GFLOPSPerWatt-wantEff)/wantEff > 1e-9 {
 		t.Fatalf("GFLOPS/W inconsistent: %v vs %v", m.GFLOPSPerWatt, wantEff)
+	}
+}
+
+// TestKilledRepetitionsEachCheckpoint kills every repetition of a
+// two-repetition Strict run: Run reports the kill, and each repetition
+// has left a checkpoint a restore can load, rep 0 in Dir and rep 1 in
+// Dir/rep1.
+func TestKilledRepetitionsEachCheckpoint(t *testing.T) {
+	w := tinyWorkload(12, true)
+	rc := RunConfig{Machine: machine.DefaultConfig(), Policy: core.StrictPolicy{}}
+	base, err := Sample(w, rc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAt := sim.FromSeconds(base.ElapsedSec / 2)
+	dir := t.TempDir()
+	rc.Repetitions = 2
+	rc.Faults = &faults.Plan{KillAt: killAt}
+	rc.Checkpoint = &persist.Config{Dir: dir}
+	if _, _, err := Run(w, rc); !errors.Is(err, machine.ErrHalted) {
+		t.Fatalf("killed run returned %v, want machine.ErrHalted", err)
+	}
+	for _, d := range []string{dir, filepath.Join(dir, "rep1")} {
+		res, err := persist.Restore(d)
+		if err != nil {
+			t.Fatalf("restore %s: %v", d, err)
+		}
+		if res.KillAt != killAt {
+			t.Fatalf("%s: restored KillAt %v, want %v", d, res.KillAt, killAt)
+		}
+	}
+}
+
+// TestAddSinkSpansRevival subscribes a decision ring through Rep.AddSink
+// to a run revived from a checkpoint: revival binds the sink to the gate
+// built from the checkpoint too, so the ring holds the same decisions as
+// the ring of a run that was never killed.
+func TestAddSinkSpansRevival(t *testing.T) {
+	w := tinyWorkload(12, true)
+	rc := RunConfig{Machine: machine.DefaultConfig(), Policy: core.StrictPolicy{}}
+	ringRun := func(rc RunConfig) []core.Event {
+		t.Helper()
+		r, err := Start(w, rc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := core.NewEventRing(1 << 12)
+		r.AddSink(ring)
+		if _, _, err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if ring.Drops() != 0 {
+			t.Fatalf("ring dropped %d decisions", ring.Drops())
+		}
+		return ring.Events()
+	}
+	want := ringRun(rc)
+	killAt := want[len(want)-1].At.DurationSince(0) / 2
+
+	dir := t.TempDir()
+	krc := rc
+	krc.Faults = &faults.Plan{KillAt: killAt}
+	krc.Checkpoint = &persist.Config{Dir: dir}
+	if _, err := Sample(w, krc, 0); !errors.Is(err, machine.ErrHalted) {
+		t.Fatalf("killed run returned %v, want machine.ErrHalted", err)
+	}
+	res, err := persist.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rrc := rc
+	rrc.Restore = res
+	got := ringRun(rrc)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("revived run's ring holds %d decisions, the unkilled run's %d; they differ", len(got), len(want))
+	}
+	if last := got[len(got)-1].At.DurationSince(0); last <= killAt {
+		t.Fatalf("last decision at %v, not after the kill at %v", last, killAt)
 	}
 }
